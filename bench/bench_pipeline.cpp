@@ -11,14 +11,16 @@
 // --out <path>).  --reps <k> caps the repetitions per measurement (default
 // 16; CI smoke runs use --reps 2).
 //
-// A second section, the hot-path suite, benchmarks the optimized trace I/O,
-// index build, and fused pipeline against the reference implementations
-// retained in-tree (stream reader, TraceIndex::ReferenceBuild, the
-// load→validate→index→analyze composition with per-stage index builds) on a
-// large synthetic DOACROSS trace, asserting along the way that every
-// optimized path reproduces its reference bit for bit.  Results go to
-// BENCH_hotpath.json (--hotpath-out); --hotpath-n scales the trace
-// (default 143000 iterations ≈ 1e6 events) and --hotpath-reps the
+// A second section, the hot-path suite, times each stage of the analysis
+// hot path (simulate, write, load, index build, event-based reconstruction,
+// end-to-end run_file) on a large synthetic DOACROSS trace, and benchmarks
+// the index build against the TraceIndex::ReferenceBuild oracle.  Before
+// timing it asserts that the loaded trace equals the written one, that the
+// fast and reference indexes give identical reconstructions, and that the
+// fused pipeline reproduces the reference composition (load, reference
+// triage index, reference analysis index, reconstruction) bit for bit.
+// Results go to BENCH_hotpath.json (--hotpath-out); --hotpath-n scales the
+// trace (default 143000 iterations ≈ 1e6 events) and --hotpath-reps the
 // repetitions.
 #include <chrono>
 #include <cstdio>
@@ -101,8 +103,8 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
 
   std::printf(
       "\n== BENCH hotpath ==\n"
-      "zero-copy I/O, fast index, and fused pipeline vs the retained\n"
-      "reference implementations (lfk3 concurrent, n=%lld)\n\n",
+      "per-stage rates and the fast index vs its reference build\n"
+      "(lfk3 concurrent, n=%lld)\n\n",
       static_cast<long long>(n));
 
   const auto prog = loops::make_concurrent_ir(3, n);
@@ -125,14 +127,8 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
   // One-time equivalence gates: every optimized path must reproduce its
   // reference bit for bit before its rate means anything.
   trace::IoArena arena;
-  {
-    std::ifstream f(tmp, std::ios::binary);
-    const trace::Trace via_stream = trace::read_binary(f);
-    const trace::Trace via_buffer = trace::load(tmp, arena);
-    PERTURB_CHECK_MSG(traces_equal(via_stream, measured) &&
-                          traces_equal(via_buffer, measured),
-                      "hotpath: loaded trace differs from written trace");
-  }
+  PERTURB_CHECK_MSG(traces_equal(trace::load(tmp, arena), measured),
+                    "hotpath: loaded trace differs from written trace");
   const trace::TraceIndex ref_index(trace::TraceIndex::ReferenceBuild{},
                                     measured);
   const trace::TraceIndex fast_index(measured);
@@ -155,11 +151,6 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
     std::ofstream f(tmp, std::ios::binary);
     trace::write_binary(f, measured);
   }));
-  rows.push_back(measure("load_stream", events, reps, [&] {
-    std::ifstream f(tmp, std::ios::binary);
-    const auto t = trace::read_binary(f);
-    if (t.size() != events) std::abort();
-  }));
   rows.push_back(measure("load_buffer", events, reps, [&] {
     const auto t = trace::load(tmp, arena);
     if (t.size() != events) std::abort();
@@ -178,23 +169,23 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
     if (r.approx.size() != events) std::abort();
   }));
 
-  // End-to-end baseline: the pre-overhaul composition — stream read, triage
-  // over its own reference index, a second reference index for analysis,
-  // then the event-based reconstruction.
+  // Reference composition: load, triage over its own reference index, a
+  // second reference index for analysis, then the event-based
+  // reconstruction.  The fused pipeline below must reproduce it.
   trace::Trace baseline_approx;
-  rows.push_back(measure("end_to_end_baseline", events, reps, [&] {
-    std::ifstream f(tmp, std::ios::binary);
-    const trace::Trace t = trace::read_binary(f);
+  {
+    const trace::Trace t = trace::load(tmp, arena);
     const trace::TraceIndex triage(trace::TraceIndex::ReferenceBuild{}, t);
-    if (!trace::validate(triage, {}).empty()) std::abort();
+    PERTURB_CHECK_MSG(trace::validate(triage, {}).empty(),
+                      "hotpath: reference triage found violations");
     const trace::TraceIndex analysis(trace::TraceIndex::ReferenceBuild{}, t);
-    auto r = core::event_based_approximation(analysis, options.overheads,
-                                             options.event_based);
-    baseline_approx = std::move(r.approx);
-  }));
+    baseline_approx = core::event_based_approximation(
+                          analysis, options.overheads, options.event_based)
+                          .approx;
+  }
 
-  // End-to-end optimized: the product path — zero-copy load, one fast index
-  // shared by triage and analysis.
+  // End-to-end: the product path — zero-copy load, one fast index shared by
+  // triage and analysis.
   core::AnalysisPipeline pipeline(options);
   pipeline.add(core::AnalyzerKind::kEventBased);
   trace::Trace fused_approx;
@@ -217,20 +208,14 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
   const auto ratio = [](double fast, double slow) {
     return slow > 0.0 ? fast / slow : 0.0;
   };
-  const double load_speedup = ratio(rate_of("load_buffer"),
-                                    rate_of("load_stream"));
   const double index_speedup = ratio(rate_of("index_fast"),
                                      rate_of("index_reference"));
-  const double e2e_speedup = ratio(rate_of("end_to_end_optimized"),
-                                   rate_of("end_to_end_baseline"));
 
   std::printf("hotpath (%zu events)\n", events);
   for (const auto& m : rows)
     std::printf("  %-20s %12.0f events/sec\n", m.name.c_str(),
                 m.events_per_sec);
-  std::printf(
-      "  speedups: binary load %.2fx, index build %.2fx, end-to-end %.2fx\n",
-      load_speedup, index_speedup, e2e_speedup);
+  std::printf("  speedup: index build %.2fx\n", index_speedup);
 
   std::string json = "{\n  \"bench\": \"hotpath\",\n";
   json += support::strf("  \"loop\": 3,\n  \"n\": %lld,\n  \"events\": %zu,\n",
@@ -241,9 +226,7 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
     json += "\"" + rows[i].name + "\": " + json_number(rows[i].events_per_sec);
   }
   json += "},\n  \"speedups\": {";
-  json += support::strf(
-      "\"binary_load\": %.3f, \"index_build\": %.3f, \"end_to_end\": %.3f",
-      load_speedup, index_speedup, e2e_speedup);
+  json += support::strf("\"index_build\": %.3f", index_speedup);
   json += "}\n}\n";
 
   std::string werr;

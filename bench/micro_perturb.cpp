@@ -195,9 +195,10 @@ void BM_TraceBinaryRoundtrip(benchmark::State& state) {
   const auto setup = default_setup();
   const auto t = sim::simulate_actual(setup.machine, prog, "bench");
   for (auto _ : state) {
-    std::stringstream ss;
+    std::ostringstream ss;
     trace::write_binary(ss, t);
-    auto back = trace::read_binary(ss);
+    const std::string image = std::move(ss).str();
+    auto back = trace::read_binary(image.data(), image.size());
     benchmark::DoNotOptimize(back.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -205,8 +206,8 @@ void BM_TraceBinaryRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceBinaryRoundtrip);
 
-/// One binary v2 image of a measured loop-17 trace, shared by the two
-/// read-path benchmarks below.
+/// One binary v2 image of a measured loop-17 trace, for the read-path
+/// benchmark below.
 const std::string& binary_image() {
   static const std::string image = [] {
     const auto prog = loops::make_concurrent_ir(17, 2048);
@@ -221,23 +222,7 @@ const std::string& binary_image() {
   return image;
 }
 
-// The retained istream decoder (per-event push_back) vs the zero-copy
-// buffer decoder (CRC + fixed-width decode straight into pre-sized
-// storage).  Same image, same resulting trace.
-void BM_TraceBinaryReadStream(benchmark::State& state) {
-  const std::string& image = binary_image();
-  std::size_t events = 0;
-  for (auto _ : state) {
-    std::istringstream in(image);
-    auto t = trace::read_binary(in);
-    events = t.size();
-    benchmark::DoNotOptimize(events);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_TraceBinaryReadStream);
-
+// CRC + fixed-width decode straight into the trace's pre-sized storage.
 void BM_TraceBinaryReadBuffer(benchmark::State& state) {
   const std::string& image = binary_image();
   std::size_t events = 0;

@@ -465,7 +465,7 @@ PipelineResult AnalysisPipeline::run_sealed(
 
 StreamOutcome AnalysisPipeline::run_stream_file(const std::string& path,
                                                 bool collect) const {
-  PERTURB_CHECK_MSG(options_.stream_window >= trace::kStreamChunkEvents,
+  PERTURB_CHECK_MSG(options_.stream_window >= trace::kChunkEvents,
                     "stream window must hold at least one chunk");
   if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".ptt") == 0)
     throw trace::MalformedTraceError(

@@ -65,7 +65,7 @@ struct PipelineOptions {
   trace::Tick sync_slack = 0;  ///< validation slack for measured traces
   /// Drain threshold for the streaming entry points (run_stream_file): the
   /// windowed reconstructor retires resolved events once this many are
-  /// resident.  Must hold at least one chunk (trace::kStreamChunkEvents);
+  /// resident.  Must hold at least one chunk (trace::kChunkEvents);
   /// the batch entry points ignore it.
   std::size_t stream_window = 8192;
   /// Optional cooperative-cancellation token (borrowed, not owned; may be

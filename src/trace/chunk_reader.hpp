@@ -1,19 +1,21 @@
-// Incremental reader for binary trace format v2.
+// Incremental reader for binary trace format v2 — the only v2 decoder.
 //
-// The batch readers in io.hpp materialize a whole Trace before anything can
-// look at it.  ChunkReader instead yields decoded, CRC-validated event
-// chunks one at a time, either over a borrowed in-memory file image (e.g. a
-// FileImage) or from an arbitrary byte feed (a socket), so callers can
-// index and analyze a trace with O(chunk) resident bytes.
+// ChunkReader yields decoded, CRC-validated event chunks one at a time,
+// either over a borrowed in-memory file image (e.g. a FileImage) or from an
+// arbitrary byte feed (a socket), so callers can index and analyze a trace
+// with O(chunk) resident bytes.
 //
-// Parity contract: on any byte sequence, the chunks a ChunkReader yields
-// concatenate to exactly the events read_binary / read_binary_salvage would
-// produce, with the same defect diagnoses in its SalvageReport and the same
-// exceptions in strict mode.  The one documented divergence: the batch
-// strict reader pre-checks the declared event count against the bytes
-// remaining in the image; a feed cannot know its total size, so an
-// over-declared count surfaces as the per-chunk defect it tears into
-// instead.  Format v1 is unframed and cannot be streamed; it is rejected.
+// Batch reads *are* ChunkReader: read_binary / read_binary_salvage drive a
+// borrowed-image reader over the whole image and decode each chunk
+// straight into the returned trace's storage.  So the chunks a borrowed
+// reader yields concatenate to exactly the events the batch readers return,
+// with the same SalvageReport and the same exceptions.  A feed-mode reader
+// fed the same bytes matches too, with one divergence: a strict borrowed
+// read rejects a declared event count the image cannot hold before
+// decoding anything (IoError naming #count), while a feed has no known
+// total size, so there the over-declared count surfaces as the chunk
+// defect it tears into.  Format v1 is unframed and cannot be streamed; it
+// is rejected.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +28,15 @@
 
 namespace perturb::trace {
 
-/// Events per v2 chunk frame (mirrors the writer in io.cpp).  Streaming
-/// windows are naturally measured in multiples of this.
-inline constexpr std::size_t kStreamChunkEvents = 1024;
+namespace detail {
+
+/// Batch v2 decode of a whole image (the engine of read_binary and
+/// read_binary_salvage for v2): a borrowed ChunkReader whose chunks land
+/// directly in the returned trace's pre-sized storage.
+Trace read_v2_image(const char* data, std::size_t size, bool salvage,
+                    SalvageReport& report);
+
+}  // namespace detail
 
 class ChunkReader {
  public:
@@ -75,6 +83,9 @@ class ChunkReader {
   const SalvageReport& report() const { return report_; }
 
  private:
+  friend Trace detail::read_v2_image(const char* data, std::size_t size,
+                                     bool salvage, SalvageReport& report);
+
   enum class State { kMagic, kHeader, kChunks, kDone };
 
   std::size_t avail() const {
@@ -85,9 +96,18 @@ class ChunkReader {
   }
   void consume(std::size_t n) { pos_ += n; }
 
+  /// Parses magic, version and header block as far as the bytes allow;
+  /// true once the header is ready.  Throws on header defects.
+  bool read_header();
+
+  /// The chunk step behind next(): decodes the next chunk's events into
+  /// out[at, at + n), growing `out` when it is shorter.  kChunk when any
+  /// events were decoded (events_read() advances by their count).
+  Status read_chunk(std::vector<Event>& out, std::size_t at);
+
   /// Body-level defect: strict mode throws IoError; salvage mode records
-  /// the first diagnosis and stops the reader.
-  void defect(const std::string& msg);
+  /// the first diagnosis, stops the reader and returns kEnd.
+  Status defect(const std::string& msg);
 
   bool salvage_ = false;
   bool borrowed_ = false;

@@ -1,11 +1,11 @@
 #include "trace/io.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <iterator>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -23,21 +23,20 @@
 #include "support/fsio.hpp"
 #include "support/metrics.hpp"
 #include "support/text.hpp"
+#include "trace/chunk_reader.hpp"
 
 namespace perturb::trace {
 
-using support::Crc32;
+using detail::kEventBytes;
+using detail::kMagic;
+using detail::kMaxNameLen;
+using detail::kMaxProcs;
 using support::split;
 using support::starts_with;
 using support::strf;
 using support::trim;
 
 namespace {
-
-// Sanity caps: no legitimate trace exceeds these, so larger declared values
-// mean a corrupt header rather than a big file.
-constexpr std::uint32_t kMaxNameLen = 1u << 20;
-constexpr std::uint32_t kMaxProcs = 1u << 20;
 
 [[noreturn]] void io_fail(const std::string& msg) { throw IoError(msg); }
 
@@ -108,52 +107,6 @@ Trace read_text(std::istream& in) {
 
 namespace {
 
-constexpr char kMagic[4] = {'P', 'T', 'R', 'C'};
-constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersionV2 = 2;
-/// Events per v2 chunk: small enough that a flipped bit discards little
-/// (~27 KiB of events), large enough that the 8-byte frame is negligible.
-constexpr std::size_t kChunkEvents = 1024;
-/// Serialized size of one event record (time, payload, id, object, proc,
-/// kind), identical in v1 and v2.
-constexpr std::size_t kEventBytes = 8 + 8 + 4 + 4 + 2 + 1;
-
-template <typename T>
-void put(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in.good()) io_fail("truncated binary trace");
-  return v;
-}
-
-/// Header-field read: truncation here means the header itself is cut, which
-/// is a malformed (unsalvageable) trace rather than a torn body.
-template <typename T>
-T get_header(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in.good()) malformed_fail("binary trace header truncated");
-  return v;
-}
-
-/// Bytes left in the stream from the current position, when the stream is
-/// seekable; SIZE_MAX otherwise (no way to pre-check, rely on read failures).
-std::size_t stream_remaining(std::istream& in) {
-  const auto pos = in.tellg();
-  if (pos == std::istream::pos_type(-1)) return std::numeric_limits<std::size_t>::max();
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(pos);
-  if (end == std::istream::pos_type(-1) || end < pos)
-    return std::numeric_limits<std::size_t>::max();
-  return static_cast<std::size_t>(end - pos);
-}
-
 /// Append-only byte buffer with typed writes, for building checksummed
 /// blocks before they hit the stream.
 struct ByteSink {
@@ -166,22 +119,6 @@ struct ByteSink {
   }
 };
 
-/// Bounds-checked reader over an in-memory (already CRC-verified) block.
-struct ByteSource {
-  const char* p;
-  const char* end;
-
-  template <typename T>
-  T get() {
-    if (static_cast<std::size_t>(end - p) < sizeof(T))
-      io_fail("binary trace block underrun");
-    T v{};
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    return v;
-  }
-};
-
 void put_event(ByteSink& sink, const Event& e) {
   sink.put(e.time);
   sink.put(e.payload);
@@ -191,195 +128,6 @@ void put_event(ByteSink& sink, const Event& e) {
   sink.put(static_cast<std::uint8_t>(e.kind));
 }
 
-Event get_event(ByteSource& src) {
-  Event e;
-  e.time = src.get<Tick>();
-  e.payload = src.get<std::int64_t>();
-  e.id = src.get<EventId>();
-  e.object = src.get<ObjectId>();
-  e.proc = src.get<ProcId>();
-  const auto kind = src.get<std::uint8_t>();
-  if (kind >= kNumEventKinds) io_fail("bad event kind in binary trace");
-  e.kind = static_cast<EventKind>(kind);
-  return e;
-}
-
-/// Reads the v2 header block (length-prefixed, CRC-trailed).  Throws IoError
-/// on corruption — a trace whose metadata cannot be trusted is unsalvageable.
-TraceInfo read_header_v2(std::istream& in, std::uint64_t& count) {
-  const auto header_len = get_header<std::uint32_t>(in);
-  if (header_len > kMaxNameLen + 64)
-    malformed_fail(
-        strf("binary trace header field #header_len %u exceeds sanity cap",
-             unsigned(header_len)));
-  if (header_len > stream_remaining(in))
-    malformed_fail("binary trace header truncated");
-  std::vector<char> block(header_len);
-  in.read(block.data(), static_cast<std::streamsize>(header_len));
-  if (!in.good()) malformed_fail("binary trace header truncated");
-  const auto crc = get_header<std::uint32_t>(in);
-  if (crc != support::crc32(block.data(), block.size()))
-    malformed_fail("binary trace header checksum mismatch");
-  return detail::parse_v2_header_block(block.data(), block.size(), count);
-}
-
-/// Shared v2 chunk-reading loop.  In strict mode any defect throws IoError;
-/// in salvage mode reading stops at the first defect and the prefix read so
-/// far is kept.
-Trace read_v2(std::istream& in, bool salvage, SalvageReport& report) {
-  std::uint64_t count = 0;
-  const TraceInfo info = read_header_v2(in, count);
-  report.version = kVersionV2;
-  report.events_declared = static_cast<std::size_t>(count);
-  report.chunks_total =
-      static_cast<std::size_t>((count + kChunkEvents - 1) / kChunkEvents);
-
-  // Allocation guard: the declared count must fit in the bytes that remain
-  // (each event costs kEventBytes plus per-chunk framing).  In salvage mode
-  // an over-declared count is just a torn file — the chunk loop below reads
-  // whatever chunks survive without ever allocating more than one chunk.
-  const auto remaining = stream_remaining(in);
-  if (!salvage && remaining != std::numeric_limits<std::size_t>::max() &&
-      count > remaining / kEventBytes + 1)
-    io_fail(strf("binary trace header field #count %llu exceeds remaining "
-                 "stream size (%llu bytes)",
-                 static_cast<unsigned long long>(count),
-                 static_cast<unsigned long long>(remaining)));
-
-  Trace t(info);
-  auto defect = [&](const std::string& msg) {
-    if (!salvage) io_fail(msg);
-    report.complete = false;
-    if (report.detail.empty()) report.detail = msg;
-  };
-
-  std::uint64_t read_events = 0;
-  std::vector<char> payload;
-  while (read_events < count) {
-    const std::uint64_t expect =
-        std::min<std::uint64_t>(kChunkEvents, count - read_events);
-    std::uint32_t n = 0;
-    in.read(reinterpret_cast<char*>(&n), sizeof(n));
-    if (!in.good()) {
-      defect(strf("chunk %zu: frame truncated", t.size() / kChunkEvents));
-      break;
-    }
-    if (n != expect) {
-      defect(strf("chunk %zu: declares %u events, expected %llu",
-                  t.size() / kChunkEvents, unsigned(n),
-                  static_cast<unsigned long long>(expect)));
-      break;
-    }
-    payload.resize(static_cast<std::size_t>(n) * kEventBytes);
-    in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (!in.good()) {
-      defect(strf("chunk %zu: payload truncated", t.size() / kChunkEvents));
-      break;
-    }
-    std::uint32_t crc = 0;
-    in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-    Crc32 acc;
-    acc.update(&n, sizeof(n));
-    acc.update(payload.data(), payload.size());
-    if (!in.good() || crc != acc.value()) {
-      defect(strf("chunk %zu: checksum mismatch", t.size() / kChunkEvents));
-      break;
-    }
-    ByteSource src{payload.data(), payload.data() + payload.size()};
-    bool bad_event = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      // A bad kind under a passing CRC means the file was *written*
-      // corrupt; in salvage mode keep the events before it.
-      try {
-        t.append(get_event(src));
-      } catch (const IoError& e) {
-        defect(strf("chunk %zu: %s", t.size() / kChunkEvents, e.what()));
-        bad_event = true;
-        break;
-      }
-    }
-    if (bad_event) break;
-    read_events += expect;
-    ++report.chunks_recovered;
-  }
-  report.events_recovered = t.size();
-  return t;
-}
-
-/// Legacy v1 reader (unframed, no checksums).  Salvage mode keeps the
-/// events read before the stream ran out.
-Trace read_v1(std::istream& in, bool salvage, SalvageReport& report) {
-  const auto name_len = get_header<std::uint32_t>(in);
-  if (name_len > kMaxNameLen)
-    malformed_fail(
-        strf("binary trace header field #name_len %u exceeds sanity cap",
-             unsigned(name_len)));
-  if (name_len > stream_remaining(in))
-    malformed_fail("binary trace header truncated");
-  TraceInfo info;
-  info.name.assign(name_len, '\0');
-  in.read(info.name.data(), static_cast<std::streamsize>(name_len));
-  if (!in.good()) malformed_fail("binary trace header truncated");
-  info.num_procs = get_header<std::uint32_t>(in);
-  if (info.num_procs > kMaxProcs)
-    malformed_fail(strf("binary trace header field #procs %u exceeds sanity cap",
-                        unsigned(info.num_procs)));
-  info.ticks_per_us = get_header<double>(in);
-  const auto count = get_header<std::uint64_t>(in);
-  report.version = kVersionV1;
-  report.events_declared = static_cast<std::size_t>(count);
-
-  const auto remaining = stream_remaining(in);
-  if (!salvage && remaining != std::numeric_limits<std::size_t>::max() &&
-      count > remaining / kEventBytes + 1)
-    io_fail(strf("binary trace header field #count %llu exceeds remaining "
-                 "stream size (%llu bytes)",
-                 static_cast<unsigned long long>(count),
-                 static_cast<unsigned long long>(remaining)));
-
-  Trace t(info);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::vector<char> rec(kEventBytes);
-    in.read(rec.data(), static_cast<std::streamsize>(rec.size()));
-    if (!in.good()) {
-      if (!salvage) io_fail("truncated binary trace");
-      report.complete = false;
-      report.detail = strf("event %llu of %llu: record truncated",
-                           static_cast<unsigned long long>(i),
-                           static_cast<unsigned long long>(count));
-      break;
-    }
-    ByteSource src{rec.data(), rec.data() + rec.size()};
-    try {
-      t.append(get_event(src));
-    } catch (const IoError& e) {
-      if (!salvage) throw;
-      report.complete = false;
-      report.detail = e.what();
-      break;
-    }
-  }
-  report.events_recovered = t.size();
-  return t;
-}
-
-Trace read_binary_impl(std::istream& in, bool salvage, SalvageReport& report) {
-  char magic[4];
-  in.read(magic, 4);
-  if (!in.good()) {
-    if (in.gcount() == 0) malformed_fail("empty trace file (zero bytes)");
-    malformed_fail("bad binary trace magic");
-  }
-  if (std::memcmp(magic, kMagic, 4) != 0)
-    malformed_fail("bad binary trace magic");
-  const auto version = get_header<std::uint32_t>(in);
-  if (version == kVersionV1) return read_v1(in, salvage, report);
-  if (version == kVersionV2) return read_v2(in, salvage, report);
-  malformed_fail(strf("unsupported binary trace version %u", unsigned(version)));
-}
-
-// ---- zero-copy buffer reader -------------------------------------------
-//
 // The serialized record layout (time, payload, id, object, proc, kind;
 // native byte order) coincides with Event's in-memory field layout, so a
 // record decodes with one bounded memcpy instead of six typed reads.  The
@@ -393,7 +141,7 @@ static_assert(offsetof(Event, proc) == 24);
 static_assert(offsetof(Event, kind) == 26);
 static_assert(sizeof(Event) >= kEventBytes);
 
-/// Forward-only cursor over the file image.
+/// Forward-only cursor over the v1 header fields.
 struct BufCursor {
   const char* p;
   const char* end;
@@ -401,18 +149,8 @@ struct BufCursor {
   std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end - p);
   }
-  /// Reads a little POD field; strict-fails with the stream reader's
-  /// truncation message when the image runs out.
-  template <typename T>
-  T get() {
-    if (remaining() < sizeof(T)) io_fail("truncated binary trace");
-    T v{};
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    return v;
-  }
-
-  /// Header-field read; see get_header(std::istream&).
+  /// Header-field read: running out here means the header itself is cut,
+  /// which is a malformed (unsalvageable) trace rather than a torn body.
   template <typename T>
   T get_header() {
     if (remaining() < sizeof(T))
@@ -424,143 +162,9 @@ struct BufCursor {
   }
 };
 
-}  // namespace
-
-namespace detail {
-
-std::uint32_t decode_event_records(const char* src, std::uint32_t n,
-                                   Event* dst) {
-  for (std::uint32_t i = 0; i < n; ++i, src += kEventBytes) {
-    if (static_cast<unsigned char>(src[26]) >= kNumEventKinds) return i;
-    // void* cast: the record covers only the first 27 bytes (tail padding
-    // keeps its prior value), which -Wclass-memaccess would flag.
-    std::memcpy(static_cast<void*>(dst + i), src, kEventBytes);
-  }
-  return n;
-}
-
-TraceInfo parse_v2_header_block(const char* block, std::size_t len,
-                                std::uint64_t& count) {
-  try {
-    ByteSource src{block, block + len};
-    const auto name_len = src.get<std::uint32_t>();
-    if (name_len > static_cast<std::size_t>(src.end - src.p))
-      malformed_fail(
-          strf("binary trace header field #name_len %u exceeds header size",
-               unsigned(name_len)));
-    TraceInfo info;
-    info.name.assign(src.p, name_len);
-    src.p += name_len;
-    info.num_procs = src.get<std::uint32_t>();
-    if (info.num_procs > kMaxProcs)
-      malformed_fail(strf("binary trace header field #procs %u exceeds sanity cap",
-                          unsigned(info.num_procs)));
-    info.ticks_per_us = src.get<double>();
-    count = src.get<std::uint64_t>();
-    return info;
-  } catch (const IoError&) {
-    // ByteSource underrun inside the header block: the header is malformed.
-    malformed_fail("binary trace header truncated");
-  }
-}
-
-}  // namespace detail
-
-namespace {
-
-/// v2 header parse over the buffer; same checks and messages as
-/// read_header_v2.
-TraceInfo read_header_v2_buffer(BufCursor& cur, std::uint64_t& count) {
-  const auto header_len = cur.get_header<std::uint32_t>();
-  if (header_len > kMaxNameLen + 64)
-    malformed_fail(
-        strf("binary trace header field #header_len %u exceeds sanity cap",
-             unsigned(header_len)));
-  if (header_len > cur.remaining())
-    malformed_fail("binary trace header truncated");
-  const char* block = cur.p;
-  cur.p += header_len;
-  const auto crc = cur.get_header<std::uint32_t>();
-  if (crc != support::crc32(block, header_len))
-    malformed_fail("binary trace header checksum mismatch");
-  return detail::parse_v2_header_block(block, header_len, count);
-}
-
-Trace read_v2_buffer(BufCursor cur, bool salvage, SalvageReport& report) {
-  std::uint64_t count = 0;
-  const TraceInfo info = read_header_v2_buffer(cur, count);
-  report.version = kVersionV2;
-  report.events_declared = static_cast<std::size_t>(count);
-  report.chunks_total =
-      static_cast<std::size_t>((count + kChunkEvents - 1) / kChunkEvents);
-
-  const std::size_t remaining = cur.remaining();
-  if (!salvage && count > remaining / kEventBytes + 1)
-    io_fail(strf("binary trace header field #count %llu exceeds remaining "
-                 "stream size (%llu bytes)",
-                 static_cast<unsigned long long>(count),
-                 static_cast<unsigned long long>(remaining)));
-
-  Trace t(info);
-  // Pre-size for the full declared count, bounded by what the image can
-  // actually hold (salvage mode accepts over-declared counts); decoded
-  // records land directly in the final storage and the vector is trimmed to
-  // the recovered prefix afterwards.
-  t.events().resize(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, remaining / kEventBytes + 1)));
-  std::size_t filled = 0;
-  auto defect = [&](const std::string& msg) {
-    if (!salvage) io_fail(msg);
-    report.complete = false;
-    if (report.detail.empty()) report.detail = msg;
-  };
-
-  std::uint64_t read_events = 0;
-  while (read_events < count) {
-    const std::uint64_t expect =
-        std::min<std::uint64_t>(kChunkEvents, count - read_events);
-    const std::size_t chunk_no = filled / kChunkEvents;
-    if (cur.remaining() < sizeof(std::uint32_t)) {
-      defect(strf("chunk %zu: frame truncated", chunk_no));
-      break;
-    }
-    std::uint32_t n = 0;
-    std::memcpy(&n, cur.p, sizeof(n));
-    if (n != expect) {
-      defect(strf("chunk %zu: declares %u events, expected %llu", chunk_no,
-                  unsigned(n), static_cast<unsigned long long>(expect)));
-      break;
-    }
-    const std::size_t payload_bytes =
-        static_cast<std::size_t>(n) * kEventBytes;
-    if (cur.remaining() - sizeof(n) < payload_bytes) {
-      defect(strf("chunk %zu: payload truncated", chunk_no));
-      break;
-    }
-    const std::size_t frame_bytes = sizeof(n) + payload_bytes;
-    std::uint32_t crc = 0;
-    if (cur.remaining() - frame_bytes < sizeof(crc) ||
-        (std::memcpy(&crc, cur.p + frame_bytes, sizeof(crc)),
-         crc != support::crc32(cur.p, frame_bytes))) {
-      defect(strf("chunk %zu: checksum mismatch", chunk_no));
-      break;
-    }
-    const std::uint32_t decoded = detail::decode_event_records(
-        cur.p + sizeof(n), n, t.events().data() + filled);
-    filled += decoded;
-    if (decoded != n) {
-      defect(strf("chunk %zu: bad event kind in binary trace", chunk_no));
-      break;
-    }
-    cur.p += frame_bytes + sizeof(crc);
-    read_events += expect;
-    ++report.chunks_recovered;
-  }
-  t.events().resize(filled);
-  report.events_recovered = t.size();
-  return t;
-}
-
+/// Legacy v1 decoder (unframed, no checksums) over the bytes after the
+/// magic and version.  Salvage mode keeps the whole records read before the
+/// image ran out or a bad kind stopped the decode.
 Trace read_v1_buffer(BufCursor cur, bool salvage, SalvageReport& report) {
   const auto name_len = cur.get_header<std::uint32_t>();
   if (name_len > kMaxNameLen)
@@ -578,7 +182,7 @@ Trace read_v1_buffer(BufCursor cur, bool salvage, SalvageReport& report) {
                         unsigned(info.num_procs)));
   info.ticks_per_us = cur.get_header<double>();
   const auto count = cur.get_header<std::uint64_t>();
-  report.version = kVersionV1;
+  report.version = kFormatV1;
   report.events_declared = static_cast<std::size_t>(count);
 
   const std::size_t remaining = cur.remaining();
@@ -625,20 +229,39 @@ Trace read_v1_buffer(BufCursor cur, bool salvage, SalvageReport& report) {
   return t;
 }
 
-Trace read_binary_buffer_impl(const char* data, std::size_t size, bool salvage,
-                              SalvageReport& report) {
-  BufCursor cur{data, data + size};
-  if (size == 0) malformed_fail("empty trace file (zero bytes)");
-  if (cur.remaining() < 4 || std::memcmp(cur.p, kMagic, 4) != 0)
-    malformed_fail("bad binary trace magic");
-  cur.p += 4;
-  const auto version = cur.get_header<std::uint32_t>();
-  if (version == kVersionV1) return read_v1_buffer(cur, salvage, report);
-  if (version == kVersionV2) return read_v2_buffer(cur, salvage, report);
-  malformed_fail(strf("unsupported binary trace version %u", unsigned(version)));
+/// v1 images go to the v1 decoder; everything else — v2, and images too
+/// damaged to name a version — to ChunkReader, which diagnoses the latter.
+Trace read_binary_image(const char* data, std::size_t size, bool salvage,
+                        SalvageReport& report) {
+  if (binary_version(data, size) == kFormatV1)
+    return read_v1_buffer(BufCursor{data + 8, data + size}, salvage, report);
+  return detail::read_v2_image(data, size, salvage, report);
 }
 
 }  // namespace
+
+namespace detail {
+
+std::uint32_t decode_event_records(const char* src, std::uint32_t n,
+                                   Event* dst) {
+  for (std::uint32_t i = 0; i < n; ++i, src += kEventBytes) {
+    if (static_cast<unsigned char>(src[26]) >= kNumEventKinds) return i;
+    // void* cast: the record covers only the first 27 bytes (tail padding
+    // keeps its prior value), which -Wclass-memaccess would flag.
+    std::memcpy(static_cast<void*>(dst + i), src, kEventBytes);
+  }
+  return n;
+}
+
+}  // namespace detail
+
+std::uint32_t binary_version(const char* data, std::size_t size) {
+  std::uint32_t version = 0;
+  if (size >= sizeof(kMagic) + sizeof(version) &&
+      std::memcmp(data, kMagic, sizeof(kMagic)) == 0)
+    std::memcpy(&version, data + sizeof(kMagic), sizeof(version));
+  return version;
+}
 
 std::string SalvageReport::describe() const {
   if (complete)
@@ -656,10 +279,10 @@ void write_binary(std::ostream& out, const Trace& trace) {
   const std::size_t chunks =
       (trace.size() + kChunkEvents - 1) / kChunkEvents;
   ByteSink file;
-  file.bytes.reserve(4 + sizeof(kVersionV2) + 8 + trace.info().name.size() +
+  file.bytes.reserve(4 + sizeof(kFormatV2) + 8 + trace.info().name.size() +
                      24 + trace.size() * kEventBytes + chunks * 8);
   file.bytes.insert(file.bytes.end(), kMagic, kMagic + 4);
-  file.put(kVersionV2);
+  file.put(kFormatV2);
 
   ByteSink header;
   header.put<std::uint32_t>(
@@ -688,25 +311,15 @@ void write_binary(std::ostream& out, const Trace& trace) {
   out.write(file.bytes.data(), static_cast<std::streamsize>(file.bytes.size()));
 }
 
-Trace read_binary(std::istream& in) {
-  SalvageReport report;
-  return read_binary_impl(in, /*salvage=*/false, report);
-}
-
-Trace read_binary_salvage(std::istream& in, SalvageReport& report) {
-  report = SalvageReport{};
-  return read_binary_impl(in, /*salvage=*/true, report);
-}
-
 Trace read_binary(const char* data, std::size_t size) {
   SalvageReport report;
-  return read_binary_buffer_impl(data, size, /*salvage=*/false, report);
+  return read_binary_image(data, size, /*salvage=*/false, report);
 }
 
 Trace read_binary_salvage(const char* data, std::size_t size,
                           SalvageReport& report) {
   report = SalvageReport{};
-  return read_binary_buffer_impl(data, size, /*salvage=*/true, report);
+  return read_binary_image(data, size, /*salvage=*/true, report);
 }
 
 namespace {

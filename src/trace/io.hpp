@@ -7,9 +7,16 @@
 // or bit-flipped files are detected — and, via the salvage API, the longest
 // valid prefix is recovered instead of the whole trace being discarded.
 // Version 1 files (unframed, no checksums) are still read transparently.
+//
+// One decoder per format: v2 images, batch or streamed, are decoded by
+// trace::ChunkReader (read_binary drives a borrowed-image reader whose
+// chunks land directly in the trace's storage), v1 images by a single
+// whole-image decoder.  The framing constants below are the only
+// definition of the binary layout.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -39,6 +46,21 @@ class MalformedTraceError : public CheckError {
  public:
   explicit MalformedTraceError(const std::string& what) : CheckError(what) {}
 };
+
+/// Binary format versions: v1 is unframed, v2 is CRC-framed in chunks.
+inline constexpr std::uint32_t kFormatV1 = 1;
+inline constexpr std::uint32_t kFormatV2 = 2;
+
+/// Events per v2 chunk frame: small enough that a flipped bit discards
+/// little (~27 KiB of events), large enough that the 8-byte frame is
+/// negligible.  Streaming windows are naturally measured in multiples of it.
+inline constexpr std::size_t kChunkEvents = 1024;
+
+/// The format version a binary trace image declares: the version field
+/// after the "PTRC" magic, or 0 when the image is too short to hold both or
+/// the magic does not match.  Routing only — the readers diagnose bad
+/// images.
+std::uint32_t binary_version(const char* data, std::size_t size);
 
 /// Outcome of a salvage read: how much of the stream was recovered and why
 /// recovery stopped (if it did).
@@ -70,25 +92,19 @@ Trace read_text(std::istream& in);
 /// CRC32-framed event chunks).
 void write_binary(std::ostream& out, const Trace& trace);
 
-/// Parses the binary format (v1 or v2); throws IoError on any corruption,
-/// truncation, or checksum mismatch.
-Trace read_binary(std::istream& in);
-
-/// Salvage read: recovers the longest valid prefix of a torn, truncated, or
-/// bit-flipped binary trace (v1 or v2) and fills `report` with what was
-/// recovered and why recovery stopped.  Throws IoError only when nothing is
-/// recoverable (bad magic, unusable or corrupt header).
-Trace read_binary_salvage(std::istream& in, SalvageReport& report);
-
-/// Zero-copy strict reader over an in-memory image of a binary trace file
-/// (the exact bytes a file contains).  Chunk CRCs are verified in place and
-/// fixed-width records decode straight into a pre-reserved event vector — no
-/// per-chunk staging buffer, no stream indirection.  Accepts and rejects
-/// exactly the same inputs as the stream reader, with the same messages.
+/// Strict reader over an in-memory image of a binary trace file (the exact
+/// bytes a file contains), v1 or v2.  Chunk CRCs are verified in place and
+/// fixed-width records decode straight into the trace's pre-sized storage.
+/// Throws MalformedTraceError on header defects and IoError on any body
+/// corruption, truncation, checksum mismatch, or a declared event count the
+/// image cannot hold.
 Trace read_binary(const char* data, std::size_t size);
 
-/// Zero-copy salvage reader over an in-memory file image; same recovery
-/// semantics and SalvageReport contents as the stream salvage reader.
+/// Salvage reader over an in-memory image: recovers the longest valid
+/// prefix of a torn, truncated, or bit-flipped binary trace (v1 or v2) and
+/// fills `report` with what was recovered and why recovery stopped.  Throws
+/// MalformedTraceError only when nothing is recoverable (bad magic,
+/// unusable or corrupt header).
 Trace read_binary_salvage(const char* data, std::size_t size,
                           SalvageReport& report);
 
@@ -124,25 +140,29 @@ class FileImage {
 
 namespace detail {
 
-/// Decodes `n` fixed-width binary event records (27 bytes each) at `src`
+/// Binary layout shared by the writer and both decoders.
+inline constexpr char kMagic[4] = {'P', 'T', 'R', 'C'};
+/// Serialized size of one event record (time, payload, id, object, proc,
+/// kind), identical in v1 and v2.
+inline constexpr std::size_t kEventBytes = 8 + 8 + 4 + 4 + 2 + 1;
+/// Header sanity caps: no legitimate trace exceeds these, so larger
+/// declared values mean a corrupt header rather than a big file.
+inline constexpr std::uint32_t kMaxNameLen = 1u << 20;
+inline constexpr std::uint32_t kMaxProcs = 1u << 20;
+
+/// Decodes `n` fixed-width binary event records (kEventBytes each) at `src`
 /// into pre-sized storage at `dst`, validating event kinds.  Returns the
 /// count actually written (< n only when a bad kind stopped the decode).
-/// Shared by the batch readers and the streaming ChunkReader so both decode
-/// records identically.
+/// Shared by the v1 decoder and ChunkReader so both decode records
+/// identically.
 std::uint32_t decode_event_records(const char* src, std::uint32_t n,
                                    Event* dst);
-
-/// Parses the CRC-verified v2 header *block* (name_len, name, num_procs,
-/// ticks_per_us, count); throws MalformedTraceError with the batch reader's
-/// messages on any defect.
-TraceInfo parse_v2_header_block(const char* block, std::size_t len,
-                                std::uint64_t& count);
 
 }  // namespace detail
 
 /// File-path conveniences; format chosen by extension (".ptt" text,
-/// anything else binary).  Binary loads go through the zero-copy reader over
-/// a memory-mapped image of the file when the platform allows it.
+/// anything else binary).  Binary loads read a memory-mapped image of the
+/// file when the platform allows it.
 void save(const std::string& path, const Trace& trace);
 Trace load(const std::string& path);
 Trace load(const std::string& path, IoArena& arena);

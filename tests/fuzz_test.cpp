@@ -14,21 +14,25 @@
 // Plus byte-level fuzzing of the binary trace format:
 //
 //   I6  random bit flips and truncations of a serialized trace never crash,
-//       hang, or over-allocate the reader — every outcome is either a
-//       salvaged (prefix-bounded) trace or a CheckError
+//       hang, or over-allocate the reader — every outcome is either the
+//       written trace, a salvaged prefix of it, or a CheckError
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/eventbased.hpp"
 #include "core/pipeline.hpp"
 #include "instr/plan.hpp"
 #include "sim/engine.hpp"
 #include "support/prng.hpp"
+#include "trace/chunk_reader.hpp"
 #include "trace/faults.hpp"
 #include "trace/io.hpp"
 #include "trace/validate.hpp"
+#include "written_trace_oracle.hpp"
 
 namespace perturb::sim {
 namespace {
@@ -176,10 +180,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
                          ::testing::Range<std::uint64_t>(1, 41));
 
 // ---- I6: binary-format byte fuzzing --------------------------------------
+//
+// The oracle is the trace that was written: a strict read of a mutated
+// image returns exactly that trace or throws, and a salvage read returns a
+// prefix of it with a report that accounts for the rest.
 
 struct BaseImage {
-  std::string bytes;        ///< intact v2 serialization
-  std::size_t num_events;   ///< event count of the source trace
+  trace::Trace written;  ///< the trace serialized into `bytes`
+  std::string bytes;     ///< intact v2 serialization
 };
 
 const BaseImage& base_image() {
@@ -187,22 +195,44 @@ const BaseImage& base_image() {
     const auto rp = make_random_program(1);
     MachineConfig cfg;
     cfg.num_procs = 4;
-    const auto t = simulate_actual(cfg, rp.program, "fuzz-bytes");
-    std::ostringstream out(std::ios::binary);
-    trace::write_binary(out, t);
-    return BaseImage{out.str(), t.size()};
+    trace::Trace t = simulate_actual(cfg, rp.program, "fuzz-bytes");
+    std::string bytes = trace::image_of(t);
+    return BaseImage{std::move(t), std::move(bytes)};
   }();
   return image;
+}
+
+/// Strict and salvage buffer reads of `bytes` against the written trace.
+/// Anything but a match or a CheckError — crash, hang, bad_alloc from a
+/// corrupt count — is a bug.
+void expect_buffer_reads_match_written(const std::string& bytes,
+                                       std::uint64_t seed) {
+  const trace::Trace& written = base_image().written;
+  try {
+    EXPECT_TRUE(trace::equals_written(
+        written, trace::read_binary(bytes.data(), bytes.size())))
+        << "seed " << seed;
+  } catch (const CheckError&) {
+    // rejected loudly: fine
+  }
+  try {
+    trace::SalvageReport report;
+    const auto t = trace::read_binary_salvage(bytes.data(), bytes.size(),
+                                              report);
+    EXPECT_TRUE(trace::salvage_matches_written(written, t.events(), report))
+        << "seed " << seed;
+  } catch (const trace::MalformedTraceError&) {
+    // header unsalvageable: reported as an error rather than garbage
+  }
 }
 
 class FuzzBinaryBytes : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzBinaryBytes, MutatedImageSalvagesOrFailsLoudly) {
   const std::uint64_t seed = GetParam();
-  const BaseImage& base = base_image();
   Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ull + 1);
 
-  std::string bytes = base.bytes;
+  std::string bytes = base_image().bytes;
   switch (rng.below(3)) {
     case 0:
       trace::flip_bits(bytes, 1 + rng.below(16), seed);
@@ -215,41 +245,17 @@ TEST_P(FuzzBinaryBytes, MutatedImageSalvagesOrFailsLoudly) {
       trace::flip_bits(bytes, 1 + rng.below(8), seed);
       break;
   }
-
-  // Strict read: success (bounded by the source) or CheckError.  Anything
-  // else — crash, hang, bad_alloc from a corrupt count — is a bug.
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    const auto t = trace::read_binary(in);
-    EXPECT_LE(t.size(), base.num_events) << "seed " << seed;
-  } catch (const CheckError&) {
-    // rejected loudly: fine
-  }
-
-  // Salvage read: same contract, plus a coherent report when it succeeds.
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    trace::SalvageReport report;
-    const auto t = trace::read_binary_salvage(in, report);
-    EXPECT_LE(t.size(), base.num_events) << "seed " << seed;
-    EXPECT_EQ(report.events_recovered, t.size()) << "seed " << seed;
-    if (report.complete) {
-      EXPECT_EQ(t.size(), base.num_events);
-    }
-  } catch (const CheckError&) {
-    // header unsalvageable: fine, reported as an error rather than garbage
-  }
+  expect_buffer_reads_match_written(bytes, seed);
 }
 
 TEST_P(FuzzBinaryBytes, StreamAndBufferReadersAgree) {
-  // The zero-copy buffer reader and the retained istream reader must be
-  // interchangeable on every input: same trace, same SalvageReport, same
-  // accept/reject decision — even for corrupted or torn images.
+  // Both ways in — the batch buffer read and a ChunkReader fed the image as
+  // a byte stream — are held to the written trace on every input, clean,
+  // bit-flipped or torn.
   const std::uint64_t seed = GetParam();
-  const BaseImage& base = base_image();
   Xoshiro256 rng(seed * 0xD1B54A32D192ED03ull + 1);
 
-  std::string bytes = base.bytes;
+  std::string bytes = base_image().bytes;
   switch (rng.below(4)) {
     case 0:
       trace::flip_bits(bytes, 1 + rng.below(16), seed);
@@ -262,71 +268,28 @@ TEST_P(FuzzBinaryBytes, StreamAndBufferReadersAgree) {
       trace::flip_bits(bytes, 1 + rng.below(8), seed);
       break;
     default:
-      break;  // intact image: both paths must agree on the clean case too
+      break;  // intact image: the clean case must match too
   }
+  expect_buffer_reads_match_written(bytes, seed);
 
-  // Strict read.
-  bool stream_ok = false;
-  trace::Trace via_stream;
+  // Salvage through a feed of odd-sized slices.
+  trace::ChunkReader reader(/*salvage=*/true);
+  std::vector<trace::Event> streamed;
+  std::vector<trace::Event> chunk;
   try {
-    std::istringstream in(bytes, std::ios::binary);
-    via_stream = trace::read_binary(in);
-    stream_ok = true;
-  } catch (const CheckError&) {
-  }
-  bool buffer_ok = false;
-  trace::Trace via_buffer;
-  try {
-    via_buffer = trace::read_binary(bytes.data(), bytes.size());
-    buffer_ok = true;
-  } catch (const CheckError&) {
-  }
-  EXPECT_EQ(stream_ok, buffer_ok) << "seed " << seed;
-  if (stream_ok && buffer_ok) {
-    ASSERT_EQ(via_stream.size(), via_buffer.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < via_stream.size(); ++i)
-      ASSERT_TRUE(via_stream[i] == via_buffer[i]) << "seed " << seed
-                                                  << " event " << i;
-  }
-
-  // Salvage read: traces and reports must match field for field.
-  bool stream_salvage_ok = false;
-  trace::SalvageReport stream_report;
-  trace::Trace stream_salvaged;
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    stream_salvaged = trace::read_binary_salvage(in, stream_report);
-    stream_salvage_ok = true;
-  } catch (const CheckError&) {
-  }
-  bool buffer_salvage_ok = false;
-  trace::SalvageReport buffer_report;
-  trace::Trace buffer_salvaged;
-  try {
-    buffer_salvaged =
-        trace::read_binary_salvage(bytes.data(), bytes.size(), buffer_report);
-    buffer_salvage_ok = true;
-  } catch (const CheckError&) {
-  }
-  EXPECT_EQ(stream_salvage_ok, buffer_salvage_ok) << "seed " << seed;
-  if (stream_salvage_ok && buffer_salvage_ok) {
-    ASSERT_EQ(stream_salvaged.size(), buffer_salvaged.size())
+    for (std::size_t off = 0; off < bytes.size(); off += 61) {
+      reader.feed(bytes.data() + off,
+                  std::min<std::size_t>(61, bytes.size() - off));
+      while (reader.next(chunk) == trace::ChunkReader::Status::kChunk)
+        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+    }
+    reader.finish();
+    while (reader.next(chunk) == trace::ChunkReader::Status::kChunk)
+      streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+    EXPECT_TRUE(trace::salvage_matches_written(base_image().written, streamed,
+                                               reader.report()))
         << "seed " << seed;
-    for (std::size_t i = 0; i < stream_salvaged.size(); ++i)
-      ASSERT_TRUE(stream_salvaged[i] == buffer_salvaged[i])
-          << "seed " << seed << " event " << i;
-    EXPECT_EQ(stream_report.complete, buffer_report.complete)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.version, buffer_report.version) << "seed " << seed;
-    EXPECT_EQ(stream_report.events_declared, buffer_report.events_declared)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.events_recovered, buffer_report.events_recovered)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.chunks_total, buffer_report.chunks_total)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.chunks_recovered, buffer_report.chunks_recovered)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.detail, buffer_report.detail) << "seed " << seed;
+  } catch (const trace::MalformedTraceError&) {
   }
 }
 
@@ -338,66 +301,48 @@ TEST(FuzzBinaryBytes, PureTruncationAlwaysSalvages) {
   for (int i = 1; i <= 10; ++i) {
     const std::string torn =
         trace::truncate_bytes(base.bytes, static_cast<double>(i) / 10.0);
-    std::istringstream in(torn, std::ios::binary);
     trace::SalvageReport report;
-    const auto t = trace::read_binary_salvage(in, report);
+    const auto t = trace::read_binary_salvage(torn.data(), torn.size(), report);
+    EXPECT_TRUE(
+        trace::salvage_matches_written(base.written, t.events(), report))
+        << "cut " << i << "/10";
     EXPECT_GE(t.size(), prev);
     prev = t.size();
   }
-  EXPECT_EQ(prev, base.num_events);
+  EXPECT_EQ(prev, base.written.size());
 }
 
 // ---- degenerate inputs: the header edge cases random mutation rarely hits.
 // These are *content* defects, not I/O failures: the file read fine, its
-// bytes are unusable.  Both readers must reject with MalformedTraceError
-// (the exit-2 class) and the same message.
+// bytes are unusable.  Both strict and salvage reads must reject with
+// MalformedTraceError (the exit-2 class) and exactly this message.
 
-/// Strict-reads `bytes` through the stream and buffer paths; both must throw
-/// MalformedTraceError, and with identical messages.
-void expect_malformed(const std::string& bytes, const std::string& what) {
-  std::string stream_msg;
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    trace::read_binary(in);
-    FAIL() << what << ": stream reader accepted degenerate input";
-  } catch (const trace::MalformedTraceError& e) {
-    stream_msg = e.what();
-  }
-  std::string buffer_msg;
+void expect_malformed(const std::string& bytes, const std::string& what,
+                      const std::string& message) {
   try {
     trace::read_binary(bytes.data(), bytes.size());
-    FAIL() << what << ": buffer reader accepted degenerate input";
+    FAIL() << what << ": strict read accepted degenerate input";
   } catch (const trace::MalformedTraceError& e) {
-    buffer_msg = e.what();
+    EXPECT_EQ(std::string(e.what()), message) << what;
   }
-  EXPECT_EQ(stream_msg, buffer_msg) << what;
-
   // Salvage cannot rescue a file with no usable header either; it must
   // reject just as loudly rather than return an empty "recovered" trace.
   try {
-    std::istringstream in(bytes, std::ios::binary);
-    trace::SalvageReport report;
-    trace::read_binary_salvage(in, report);
-    FAIL() << what << ": stream salvage accepted degenerate input";
-  } catch (const trace::MalformedTraceError&) {
-  }
-  try {
     trace::SalvageReport report;
     trace::read_binary_salvage(bytes.data(), bytes.size(), report);
-    FAIL() << what << ": buffer salvage accepted degenerate input";
-  } catch (const trace::MalformedTraceError&) {
+    FAIL() << what << ": salvage accepted degenerate input";
+  } catch (const trace::MalformedTraceError& e) {
+    EXPECT_EQ(std::string(e.what()), message) << what;
   }
 }
 
 TEST(FuzzBinaryBytes, ZeroByteImageIsMalformedNotCrash) {
-  expect_malformed(std::string(), "zero-byte");
-  // The diagnosis names the actual defect.
+  expect_malformed(std::string(), "zero-byte", "empty trace file (zero bytes)");
   try {
     trace::read_binary(nullptr, 0);
     FAIL();
   } catch (const trace::MalformedTraceError& e) {
-    EXPECT_NE(std::string(e.what()).find("empty trace file"),
-              std::string::npos);
+    EXPECT_EQ(std::string(e.what()), "empty trace file (zero bytes)");
   }
 }
 
@@ -409,11 +354,9 @@ TEST(FuzzBinaryBytes, TruncationInsideHeaderIsMalformedAtEveryCut) {
   const BaseImage& base = base_image();
   std::size_t header_end = base.bytes.size();
   for (std::size_t cut = 1; cut < base.bytes.size(); ++cut) {
-    const std::string torn = base.bytes.substr(0, cut);
     try {
-      std::istringstream in(torn, std::ios::binary);
       trace::SalvageReport report;
-      trace::read_binary_salvage(in, report);
+      trace::read_binary_salvage(base.bytes.data(), cut, report);
       header_end = cut;  // first cut the salvage reader survives
       break;
     } catch (const trace::MalformedTraceError&) {
@@ -422,17 +365,20 @@ TEST(FuzzBinaryBytes, TruncationInsideHeaderIsMalformedAtEveryCut) {
   ASSERT_LT(header_end, base.bytes.size());
   for (std::size_t cut = 1; cut < header_end; ++cut)
     expect_malformed(base.bytes.substr(0, cut),
-                     "cut at byte " + std::to_string(cut));
+                     "cut at byte " + std::to_string(cut),
+                     cut < 4 ? "bad binary trace magic"
+                             : "binary trace header truncated");
 }
 
 TEST(FuzzBinaryBytes, BadMagicAndBadVersionAreMalformed) {
   std::string wrong_magic = base_image().bytes;
   wrong_magic[0] = static_cast<char>(wrong_magic[0] ^ 0x55);
-  expect_malformed(wrong_magic, "bad magic");
+  expect_malformed(wrong_magic, "bad magic", "bad binary trace magic");
 
   std::string bad_version = base_image().bytes;
   bad_version[4] = char(0x7F);  // version byte follows the 4-byte magic
-  expect_malformed(bad_version, "unsupported version");
+  expect_malformed(bad_version, "unsupported version",
+                   "unsupported binary trace version 127");
 }
 
 TEST(FuzzBinaryBytes, EmptyTraceFailsPipelineStructurally) {

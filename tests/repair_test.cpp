@@ -1,5 +1,6 @@
 // Tests for the trace triage & repair pipeline (trace/repair.hpp) and the
-// checksummed v2 binary format's salvage path (trace/io.hpp).
+// checksummed v2 binary format's salvage path (trace/io.hpp,
+// trace/chunk_reader.hpp).
 //
 // The core contract, exercised per ViolationKind: inject a minimal instance
 // of the violation with the fault library, confirm the validator flags it,
@@ -7,16 +8,21 @@
 // event-based analysis completes on the repaired trace.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/eventbased.hpp"
 #include "experiments/experiments.hpp"
 #include "support/check.hpp"
+#include "support/crc32.hpp"
+#include "trace/chunk_reader.hpp"
 #include "trace/faults.hpp"
 #include "trace/io.hpp"
 #include "trace/repair.hpp"
 #include "trace/validate.hpp"
+#include "written_trace_oracle.hpp"
 
 namespace perturb::trace {
 namespace {
@@ -186,65 +192,48 @@ TEST(Repair, ManifestRendersAndCounts) {
 
 // ---- v2 binary format: checksums, salvage, back-compat -------------------
 
-std::string to_bytes(const Trace& t) {
-  std::ostringstream out(std::ios::binary);
-  write_binary(out, t);
-  return out.str();
-}
-
 TEST(Salvage, TruncatedBinarySalvagesNonEmptyPrefix) {
   const Fixture& f = fixture();
   ASSERT_GT(f.measured.size(), 1100u) << "need >1 chunk for this test";
-  const std::string whole = to_bytes(f.measured);
+  const std::string whole = image_of(f.measured);
   // Cut inside the final chunk: the whole-chunk prefix before it survives.
   const std::string torn = truncate_bytes(whole, 0.9);
 
   // Strict read refuses.
-  std::istringstream strict(torn, std::ios::binary);
-  EXPECT_THROW(read_binary(strict), CheckError);
+  EXPECT_THROW(read_binary(torn.data(), torn.size()), CheckError);
 
   // Salvage recovers the longest valid chunk prefix.
-  std::istringstream in(torn, std::ios::binary);
   SalvageReport report;
-  const Trace salvaged = read_binary_salvage(in, report);
+  const Trace salvaged = read_binary_salvage(torn.data(), torn.size(), report);
   EXPECT_FALSE(report.complete);
   EXPECT_GT(salvaged.size(), 0u);
-  EXPECT_LT(salvaged.size(), f.measured.size());
-  EXPECT_EQ(report.events_recovered, salvaged.size());
-  EXPECT_EQ(report.events_declared, f.measured.size());
-  EXPECT_LT(report.chunks_recovered, report.chunks_total);
-  // The prefix is bytewise-faithful: every salvaged event matches.
-  for (std::size_t i = 0; i < salvaged.size(); ++i) {
-    EXPECT_EQ(salvaged[i].time, f.measured[i].time);
-    EXPECT_EQ(salvaged[i].kind, f.measured[i].kind);
-    EXPECT_EQ(salvaged[i].proc, f.measured[i].proc);
-  }
+  // The prefix is bytewise-faithful and the report accounts for the rest.
+  EXPECT_TRUE(
+      salvage_matches_written(f.measured, salvaged.events(), report));
 }
 
 TEST(Salvage, IntactFileRoundTripsComplete) {
   const Fixture& f = fixture();
-  std::istringstream in(to_bytes(f.measured), std::ios::binary);
+  const std::string bytes = image_of(f.measured);
   SalvageReport report;
-  const Trace back = read_binary_salvage(in, report);
+  const Trace back = read_binary_salvage(bytes.data(), bytes.size(), report);
   EXPECT_TRUE(report.complete);
-  EXPECT_EQ(back.size(), f.measured.size());
-  EXPECT_EQ(back.info().name, f.measured.info().name);
+  EXPECT_TRUE(equals_written(f.measured, back));
 }
 
 TEST(Salvage, FlippedChunkDetectedByChecksum) {
   const Fixture& f = fixture();
-  std::string bytes = to_bytes(f.measured);
+  std::string bytes = image_of(f.measured);
   // Flip one bit well past the header, inside event payload data.
   bytes[bytes.size() - 100] =
       static_cast<char>(static_cast<unsigned char>(bytes[bytes.size() - 100]) ^
                         0x10);
-  std::istringstream strict(bytes, std::ios::binary);
-  EXPECT_THROW(read_binary(strict), CheckError);
-  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(read_binary(bytes.data(), bytes.size()), CheckError);
   SalvageReport report;
-  const Trace salvaged = read_binary_salvage(in, report);
+  const Trace salvaged =
+      read_binary_salvage(bytes.data(), bytes.size(), report);
   EXPECT_FALSE(report.complete);
-  EXPECT_LT(salvaged.size(), f.measured.size());
+  EXPECT_TRUE(salvage_matches_written(f.measured, salvaged.events(), report));
   EXPECT_NE(report.detail.find("checksum"), std::string::npos)
       << report.detail;
 }
@@ -283,8 +272,8 @@ std::string encode(const Trace& t) {
 
 TEST(Salvage, ReadsLegacyV1Transparently) {
   const Fixture& f = fixture();
-  std::istringstream in(v1::encode(f.measured), std::ios::binary);
-  const Trace back = read_binary(in);
+  const std::string bytes = v1::encode(f.measured);
+  const Trace back = read_binary(bytes.data(), bytes.size());
   ASSERT_EQ(back.size(), f.measured.size());
   EXPECT_EQ(back.info().num_procs, f.measured.info().num_procs);
   for (std::size_t i = 0; i < back.size(); ++i) {
@@ -296,9 +285,8 @@ TEST(Salvage, ReadsLegacyV1Transparently) {
 TEST(Salvage, TruncatedV1SalvagesPrefix) {
   const Fixture& f = fixture();
   const std::string torn = truncate_bytes(v1::encode(f.measured), 0.5);
-  std::istringstream in(torn, std::ios::binary);
   SalvageReport report;
-  const Trace salvaged = read_binary_salvage(in, report);
+  const Trace salvaged = read_binary_salvage(torn.data(), torn.size(), report);
   EXPECT_FALSE(report.complete);
   EXPECT_GT(salvaged.size(), 0u);
   EXPECT_LT(salvaged.size(), f.measured.size());
@@ -316,13 +304,80 @@ TEST(Salvage, AllocationBombRejectedByName) {
   v1::put<std::uint32_t>(out, 2);    // procs
   v1::put<double>(out, 1.0);         // ticks_per_us
   v1::put<std::uint64_t>(out, 1ull << 60);  // declared count: ~30 exabytes
-  std::istringstream in(out.str(), std::ios::binary);
+  const std::string bytes = out.str();
   try {
-    read_binary(in);
+    read_binary(bytes.data(), bytes.size());
     FAIL() << "absurd #count must be rejected";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("#count"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Salvage, V2CountBombRejectedByName) {
+  // In v2 the header block is checksummed, but a writer can still declare
+  // an absurd count under a valid CRC.  Real trace: 2048 events (two whole
+  // chunks); the header claims 1 << 60.
+  Trace written({"bomb", 2, 1.0});
+  for (int i = 0; i < 2048; ++i) {
+    Event e;
+    e.time = i;
+    e.proc = static_cast<ProcId>(i % 2);
+    e.kind = EventKind::kStmtEnter;
+    e.id = static_cast<EventId>(i);
+    written.append(e);
+  }
+  std::string bytes = image_of(written);
+  // Layout: magic(4) version(4) header_len(4) block[header_len] crc(4); the
+  // declared count is the block's last 8 bytes.
+  std::uint32_t header_len = 0;
+  std::memcpy(&header_len, bytes.data() + 8, sizeof(header_len));
+  const std::uint64_t bomb = 1ull << 60;
+  std::memcpy(bytes.data() + 12 + header_len - sizeof(bomb), &bomb,
+              sizeof(bomb));
+  const std::uint32_t crc = support::crc32(bytes.data() + 12, header_len);
+  std::memcpy(bytes.data() + 12 + header_len, &crc, sizeof(crc));
+
+  // Strict: rejected up front, naming the field.
+  try {
+    read_binary(bytes.data(), bytes.size());
+    FAIL() << "absurd v2 #count must be rejected";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("#count"), std::string::npos)
+        << e.what();
+  }
+
+  // Salvage: the real events come back, and the storage reserved for them
+  // is bounded by what the image can hold, not by the declared count.
+  SalvageReport report;
+  const Trace salvaged =
+      read_binary_salvage(bytes.data(), bytes.size(), report);
+  EXPECT_EQ(salvaged.events(), written.events());
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.events_declared, bomb);
+  EXPECT_EQ(report.chunks_recovered, 2u);
+  EXPECT_EQ(report.detail, "chunk 2: frame truncated");
+  EXPECT_LE(salvaged.events().capacity(),
+            bytes.size() / detail::kEventBytes + 1);
+
+  // Feed mode has no total size to check against: the count surfaces as
+  // the chunk defect it tears into, in strict and salvage mode alike.
+  for (const bool salvage : {false, true}) {
+    ChunkReader reader(salvage);
+    reader.feed(bytes);
+    reader.finish();
+    std::vector<Event> chunk;
+    std::size_t events = 0;
+    try {
+      while (reader.next(chunk) == ChunkReader::Status::kChunk)
+        events += chunk.size();
+      EXPECT_TRUE(salvage) << "strict feed accepted the bomb";
+      EXPECT_EQ(reader.report().detail, "chunk 2: frame truncated");
+    } catch (const IoError& e) {
+      EXPECT_FALSE(salvage);
+      EXPECT_EQ(std::string(e.what()), "chunk 2: frame truncated");
+    }
+    EXPECT_EQ(events, written.size());
   }
 }
 

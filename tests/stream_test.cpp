@@ -2,10 +2,11 @@
 // reconstruct path must be bit-identical to the batch path it shadows.
 //
 // What must hold:
-//   * ChunkReader parity — on any byte sequence (clean, torn, bit-flipped),
-//     the chunks concatenate to exactly what read_binary /
-//     read_binary_salvage produce, with the same SalvageReport and the same
-//     exceptions, in both borrowed-image and feed mode;
+//   * ChunkReader reads the written trace — on a clean image the chunks
+//     concatenate to exactly the trace that was written; on torn or
+//     bit-flipped images salvage returns a prefix of it with a coherent
+//     SalvageReport; and a feed-mode reader matches a borrowed one on every
+//     image at any feed granularity;
 //   * IncrementalTraceIndex::seal answers every query like a batch-built
 //     TraceIndex, with ReferenceBuild as the common oracle;
 //   * the windowed StreamingReconstructor reproduces the batch event-based
@@ -20,7 +21,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +35,7 @@
 #include "trace/faults.hpp"
 #include "trace/index.hpp"
 #include "trace/io.hpp"
+#include "written_trace_oracle.hpp"
 
 namespace perturb {
 namespace {
@@ -45,14 +46,8 @@ using core::EventBasedOptions;
 using core::StreamingReconstructor;
 using trace::ChunkReader;
 using trace::Event;
+using trace::image_of;
 using trace::Trace;
-
-/// Serialized v2 image of a trace.
-std::string image_of(const Trace& t) {
-  std::ostringstream out;
-  trace::write_binary(out, t);
-  return out.str();
-}
 
 /// Drains a reader, concatenating every chunk.
 std::vector<Event> drain(ChunkReader& reader) {
@@ -81,70 +76,13 @@ AnalysisOverheads overheads() {
       setup.machine);
 }
 
-// ---- ChunkReader parity ---------------------------------------------------
+// ---- ChunkReader against the written trace ---------------------------------
 
-TEST(ChunkReader, MatchesBatchOnCleanImage) {
-  const std::string bytes = image_of(loop17().measured);
-  ChunkReader reader(bytes.data(), bytes.size(), /*salvage=*/false);
-  const std::vector<Event> streamed = drain(reader);
-
-  const Trace batch = trace::read_binary(bytes.data(), bytes.size());
-  EXPECT_EQ(streamed, batch.events());
-  EXPECT_EQ(reader.info().name, batch.info().name);
-  EXPECT_EQ(reader.info().num_procs, batch.info().num_procs);
-  EXPECT_EQ(reader.events_declared(), batch.size());
-  EXPECT_EQ(reader.events_read(), batch.size());
-  EXPECT_TRUE(reader.report().complete);
-}
-
-TEST(ChunkReader, FeedModeMatchesBorrowedAtAnyGranularity) {
-  const std::string bytes = image_of(loop17().measured);
-  const Trace batch = trace::read_binary(bytes.data(), bytes.size());
-  // Pathological feed sizes: single bytes across the header, then odd
-  // primes, then the rest — chunk boundaries never align with feed calls.
-  for (const std::size_t piece : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{4093}}) {
-    ChunkReader reader(/*salvage=*/false);
-    std::vector<Event> streamed;
-    std::vector<Event> chunk;
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const std::size_t n = std::min(piece, bytes.size() - off);
-      reader.feed(bytes.data() + off, n);
-      off += n;
-      while (reader.next(chunk) == ChunkReader::Status::kChunk)
-        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-    }
-    reader.finish();
-    while (reader.next(chunk) == ChunkReader::Status::kChunk)
-      streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-    EXPECT_EQ(streamed, batch.events()) << "feed piece " << piece;
-    EXPECT_TRUE(reader.report().complete);
-  }
-}
-
-TEST(ChunkReader, TornFinalChunkSalvagesPrefix) {
-  const std::string full = image_of(loop17().measured);
-  // Cut mid-way through the last chunk's payload.
-  const std::string torn = full.substr(0, full.size() - 100);
-
-  trace::SalvageReport batch_report;
-  const Trace batch =
-      trace::read_binary_salvage(torn.data(), torn.size(), batch_report);
-
-  ChunkReader reader(torn.data(), torn.size(), /*salvage=*/true);
-  const std::vector<Event> streamed = drain(reader);
-
-  EXPECT_FALSE(batch_report.complete);
-  EXPECT_EQ(streamed, batch.events());
-  EXPECT_EQ(reader.report().complete, batch_report.complete);
-  EXPECT_EQ(reader.report().events_recovered, batch_report.events_recovered);
-  EXPECT_EQ(reader.report().chunks_recovered, batch_report.chunks_recovered);
-  EXPECT_EQ(reader.report().detail, batch_report.detail);
-}
-
-TEST(ChunkReader, SalvageParityUnderByteFaults) {
+/// The fault-injected images of loop 17: torn at several points or
+/// bit-flipped, some in the header.
+std::vector<std::string> faulted_images() {
   const std::string clean = image_of(loop17().measured);
+  std::vector<std::string> images;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     std::string bytes = clean;
     if (seed % 3 == 0) {
@@ -152,34 +90,140 @@ TEST(ChunkReader, SalvageParityUnderByteFaults) {
     } else {
       trace::flip_bits(bytes, 1 + seed % 5, seed);
     }
+    images.push_back(std::move(bytes));
+  }
+  return images;
+}
 
-    bool batch_threw = false;
-    Trace batch(trace::TraceInfo{});
-    trace::SalvageReport batch_report;
-    try {
-      batch = trace::read_binary_salvage(bytes.data(), bytes.size(),
-                                         batch_report);
-    } catch (const CheckError&) {
-      batch_threw = true;
+TEST(ChunkReader, MatchesWrittenTraceOnCleanImage) {
+  const Trace& written = loop17().measured;
+  const std::string bytes = image_of(written);
+  ChunkReader reader(bytes.data(), bytes.size(), /*salvage=*/false);
+  const std::vector<Event> streamed = drain(reader);
+
+  EXPECT_EQ(streamed, written.events());
+  EXPECT_EQ(reader.info().name, written.info().name);
+  EXPECT_EQ(reader.info().num_procs, written.info().num_procs);
+  EXPECT_EQ(reader.events_declared(), written.size());
+  EXPECT_EQ(reader.events_read(), written.size());
+  EXPECT_TRUE(reader.report().complete);
+  EXPECT_TRUE(trace::salvage_matches_written(written, streamed,
+                                             reader.report()));
+}
+
+/// Outcome of draining one reader: the events, the report, and the
+/// exception that stopped it, if any.
+struct Drained {
+  std::vector<Event> events;
+  trace::SalvageReport report;
+  std::string error;  ///< exception type and message; empty if none
+};
+
+Drained drain_borrowed(const std::string& bytes, bool salvage) {
+  Drained d;
+  ChunkReader reader(bytes.data(), bytes.size(), salvage);
+  try {
+    d.events = drain(reader);
+  } catch (const trace::MalformedTraceError& e) {
+    d.error = std::string("malformed: ") + e.what();
+  } catch (const trace::IoError& e) {
+    d.error = std::string("io: ") + e.what();
+  }
+  d.report = reader.report();
+  return d;
+}
+
+Drained drain_fed(const std::string& bytes, bool salvage, std::size_t piece) {
+  Drained d;
+  ChunkReader reader(salvage);
+  std::vector<Event> chunk;
+  try {
+    for (std::size_t off = 0; off < bytes.size(); off += piece) {
+      reader.feed(bytes.data() + off, std::min(piece, bytes.size() - off));
+      while (reader.next(chunk) == ChunkReader::Status::kChunk)
+        d.events.insert(d.events.end(), chunk.begin(), chunk.end());
     }
+    reader.finish();
+    while (reader.next(chunk) == ChunkReader::Status::kChunk)
+      d.events.insert(d.events.end(), chunk.begin(), chunk.end());
+  } catch (const trace::MalformedTraceError& e) {
+    d.error = std::string("malformed: ") + e.what();
+  } catch (const trace::IoError& e) {
+    d.error = std::string("io: ") + e.what();
+  }
+  d.report = reader.report();
+  return d;
+}
 
-    bool stream_threw = false;
-    ChunkReader reader(bytes.data(), bytes.size(), /*salvage=*/true);
-    std::vector<Event> streamed;
-    try {
-      streamed = drain(reader);
-    } catch (const CheckError&) {
-      stream_threw = true;
+TEST(ChunkReader, FeedModeMatchesBorrowedAtAnyGranularity) {
+  // Pathological feed sizes: single bytes across the header, then odd
+  // primes — chunk boundaries never align with feed calls.  Over the clean
+  // image and every fault-injected one, a feed yields exactly what a
+  // borrowed reader over the same bytes yields: same events, same report,
+  // same exception.  The one documented divergence is strict mode's
+  // declared-count guard, which only a borrowed image can apply, so strict
+  // reads must agree on whether they fail but not on the message.
+  std::vector<std::string> images = faulted_images();
+  images.push_back(image_of(loop17().measured));
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const std::string& bytes = images[i];
+    const Drained borrowed = drain_borrowed(bytes, /*salvage=*/true);
+    const Drained strict = drain_borrowed(bytes, /*salvage=*/false);
+    for (const std::size_t piece : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{4093}}) {
+      const Drained fed = drain_fed(bytes, /*salvage=*/true, piece);
+      EXPECT_EQ(fed.error, borrowed.error)
+          << "image " << i << " piece " << piece;
+      EXPECT_EQ(fed.events, borrowed.events)
+          << "image " << i << " piece " << piece;
+      EXPECT_EQ(fed.report.complete, borrowed.report.complete);
+      EXPECT_EQ(fed.report.events_recovered, borrowed.report.events_recovered);
+      EXPECT_EQ(fed.report.chunks_total, borrowed.report.chunks_total);
+      EXPECT_EQ(fed.report.chunks_recovered, borrowed.report.chunks_recovered);
+      EXPECT_EQ(fed.report.detail, borrowed.report.detail)
+          << "image " << i << " piece " << piece;
+
+      const Drained fed_strict = drain_fed(bytes, /*salvage=*/false, piece);
+      EXPECT_EQ(fed_strict.error.empty(), strict.error.empty())
+          << "image " << i << " piece " << piece;
+      if (strict.error.empty()) {
+        EXPECT_EQ(fed_strict.events, strict.events);
+      }
     }
+  }
+}
 
-    EXPECT_EQ(stream_threw, batch_threw) << "seed " << seed;
-    if (batch_threw || stream_threw) continue;
-    EXPECT_EQ(streamed, batch.events()) << "seed " << seed;
-    EXPECT_EQ(reader.report().complete, batch_report.complete)
-        << "seed " << seed;
-    EXPECT_EQ(reader.report().events_recovered, batch_report.events_recovered)
-        << "seed " << seed;
-    EXPECT_EQ(reader.report().detail, batch_report.detail) << "seed " << seed;
+TEST(ChunkReader, TornFinalChunkSalvagesPrefix) {
+  const Trace& written = loop17().measured;
+  const std::string full = image_of(written);
+  // Cut mid-way through the last chunk's payload.
+  const std::string torn = full.substr(0, full.size() - 100);
+
+  ChunkReader reader(torn.data(), torn.size(), /*salvage=*/true);
+  const std::vector<Event> streamed = drain(reader);
+
+  EXPECT_FALSE(reader.report().complete);
+  EXPECT_EQ(reader.report().chunks_recovered + 1, reader.report().chunks_total);
+  EXPECT_TRUE(trace::salvage_matches_written(written, streamed,
+                                             reader.report()));
+  EXPECT_EQ(reader.report().detail,
+            "chunk " + std::to_string(reader.report().chunks_recovered) +
+                ": payload truncated");
+}
+
+TEST(ChunkReader, SalvageParityUnderByteFaults) {
+  // Every fault-injected image either fails at the header (a flip there
+  // breaks the header CRC) or salvages a prefix of the written trace.
+  const Trace& written = loop17().measured;
+  const std::vector<std::string> images = faulted_images();
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const Drained d = drain_borrowed(images[i], /*salvage=*/true);
+    if (!d.error.empty()) {
+      EXPECT_EQ(d.error.rfind("malformed: ", 0), 0u) << d.error;
+      continue;
+    }
+    EXPECT_TRUE(trace::salvage_matches_written(written, d.events, d.report))
+        << "image " << i;
   }
 }
 
@@ -335,7 +379,7 @@ TEST(StreamingReconstructor, MatchesBatchAcrossLivermoreGrid) {
           core::event_based_approximation(run.measured, oh).approx;
       CollectSink sink;
       StreamingReconstructor recon(oh, EventBasedOptions{},
-                                   trace::kStreamChunkEvents, sink);
+                                   trace::kChunkEvents, sink);
       recon.push(run.measured.events().data(), run.measured.size());
       recon.finish();
       const Trace streamed = sink.take(run.measured.info());
@@ -363,7 +407,7 @@ TEST(StreamingReconstructor, CriticalPathMatchesBatchAcrossLivermoreGrid) {
           core::event_based_approximation(run.measured, oh).approx;
       CollectSink sink;
       StreamingReconstructor recon(oh, EventBasedOptions{},
-                                   trace::kStreamChunkEvents, sink);
+                                   trace::kChunkEvents, sink);
       recon.push(run.measured.events().data(), run.measured.size());
       recon.finish();
       const Trace streamed = sink.take(run.measured.info());
@@ -401,7 +445,7 @@ TEST(StreamingReconstructor, MatchesBatchOnFaultInjectedTraces) {
     Trace salvaged(trace::TraceInfo{});
     CollectSink sink;
     StreamingReconstructor recon(oh, EventBasedOptions{},
-                                 trace::kStreamChunkEvents, sink);
+                                 trace::kChunkEvents, sink);
     try {
       std::vector<Event> chunk;
       bool have_info = false;
@@ -500,12 +544,12 @@ TEST(AnalysisPipeline, StreamFileBoundsResidencyByWindow) {
   const std::string path = temp_trace_path();
   trace::save(path, loop17().measured);
   core::PipelineOptions options = pipeline_options();
-  options.stream_window = trace::kStreamChunkEvents;
+  options.stream_window = trace::kChunkEvents;
   const core::AnalysisPipeline pipeline(options);
   const core::StreamOutcome out =
       pipeline.run_stream_file(path, /*collect=*/false);
   ASSERT_TRUE(out.ok);
-  ASSERT_GT(loop17().measured.size(), 4 * trace::kStreamChunkEvents)
+  ASSERT_GT(loop17().measured.size(), 4 * trace::kChunkEvents)
       << "workload too small to exercise windowing";
   // The drain threshold is soft (blocked events may ride past it), but on a
   // consistent trace residency stays well below the full trace.

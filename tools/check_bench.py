@@ -7,10 +7,7 @@ ratios are machine-relative and comparable across hosts (absolute
 events/sec are not).  This script therefore checks ratios, not rates:
 
   * keys with an absolute floor must stay at or above it.  Floors come
-    from the baseline file's "floors" object when present (the simulator
-    bench emits one); otherwise the legacy hotpath keys (binary_load,
-    end_to_end) are floored at --floor (2.0, the bar the hot-path
-    overhaul was built to clear);
+    from the baseline file's "floors" object;
   * no speedup may regress more than --tolerance (default 20%) below
     the committed baseline's value for the same key.
 
@@ -25,9 +22,6 @@ Usage:
 import argparse
 import json
 import sys
-
-LEGACY_FLOOR_KEYS = ("binary_load", "end_to_end")
-
 
 def load(path):
     try:
@@ -62,16 +56,11 @@ def main():
                     help="committed baseline bench JSON")
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed fractional regression vs baseline")
-    ap.add_argument("--floor", type=float, default=2.0,
-                    help="absolute minimum for the legacy floor keys, used "
-                         "when the baseline has no 'floors' object")
     args = ap.parse_args()
 
     result = load(args.result)
     baseline = load(args.baseline)
-    floors = baseline.get("floors")
-    if floors is None:
-        floors = {key: args.floor for key in LEGACY_FLOOR_KEYS}
+    floors = baseline.get("floors", {})
 
     failures = []
     for key, base in sorted(baseline["speedups"].items()):
@@ -96,7 +85,8 @@ def main():
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    floors_desc = ", ".join(f"{k}>={v:.1f}x" for k, v in sorted(floors.items()))
+    floors_desc = ", ".join(
+        f"{k}>={v:.1f}x" for k, v in sorted(floors.items())) or "none"
     print("\nbench check passed "
           f"(tolerance {args.tolerance:.0%}; floors: {floors_desc})")
     return 0

@@ -219,14 +219,14 @@ int main(int argc, char** argv) {
     if (window_arg == "true") {  // bare --stream
       stream_window = 8192;
     } else {
-      const auto n = tools::parse_uint(window_arg, trace::kStreamChunkEvents,
+      const auto n = tools::parse_uint(window_arg, trace::kChunkEvents,
                                        std::uint64_t{1} << 40);
       if (!n) {
         std::fprintf(stderr,
                      "bad --stream window '%s': the window must hold at "
                      "least one chunk (%zu events); refusing to fall back "
                      "to batch mode\n",
-                     window_arg.c_str(), trace::kStreamChunkEvents);
+                     window_arg.c_str(), trace::kChunkEvents);
         return usage();
       }
       stream_window = static_cast<std::size_t>(*n);

@@ -26,7 +26,6 @@
 // produce them.
 #include <cstdio>
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -72,16 +71,13 @@ int cmd_info(const trace::Trace& t) {
 int cmd_stats(const std::string& path) {
   std::vector<char> fallback;
   const trace::FileImage image(path, fallback);
-  const char* data = image.data();
-  std::uint32_t version = 0;
-  if (image.size() >= 8) std::memcpy(&version, data + 4, 4);
-  if (image.size() < 8 || std::memcmp(data, "PTRC", 4) != 0 || version != 2) {
+  if (trace::binary_version(image.data(), image.size()) != trace::kFormatV2) {
     // Not a framed v2 file; load whole (text traces, v1, or malformed —
     // the loader produces the canonical diagnosis for the latter).
     return cmd_info(trace::load(path));
   }
 
-  trace::ChunkReader reader(data, image.size(), /*salvage=*/true);
+  trace::ChunkReader reader(image.data(), image.size(), /*salvage=*/true);
   std::optional<trace::StatsBuilder> builder;
   std::vector<trace::Event> chunk;
   while (reader.next(chunk) == trace::ChunkReader::Status::kChunk) {
