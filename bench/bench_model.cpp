@@ -1,6 +1,6 @@
 // bench_model — analytical screening of experiment grids (DESIGN.md §12).
 //
-// Three sections, each gated before any timing is trusted:
+// Four gates, all deterministic (the simulator is seeded):
 //
 //   * equivalence: run_grid_screened over the 12-cell acceptance grid must
 //     produce the designed confident/fall-through partition, fall-through
@@ -12,19 +12,15 @@
 //   * cross-validation: the full Livermore grid (24 loops x 3 modes x 2
 //     plans) is run both ways and every cell's (uncertainty, relative
 //     error) pair is written to MODEL_crossval.json — the calibration
-//     evidence behind experiments::kDefaultScreenThreshold.
+//     evidence behind experiments::kDefaultScreenThreshold;
+//   * full screening: an all-DOALL sweep across plans is model-confident in
+//     every cell, so screening it runs no simulation at all.
 //
-// Timing then measures run_grid_screened against run_grid on the 12-cell
-// grid (the perf headline: >=3x) and on an all-confident DOALL sweep (the
-// near-O(1) case).  Speedups are screened-vs-unscreened in the same
-// process, so they are comparable across hosts (absolute rates are not).
-// Results go to JSON (--out, default BENCH_model.json); tools/check_bench.py
-// gates CI runs against bench/baseline/BENCH_model.json.
+// The screening cost itself is measured by the ledger's experiments-grid
+// workload (model.predict.us_per_cell), not here.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -36,7 +32,6 @@
 namespace {
 
 using namespace perturb;
-using Clock = std::chrono::steady_clock;
 
 /// Largest model relative error tolerated on a confident cell, measured
 /// against the better of the two references available in-process: the
@@ -47,22 +42,6 @@ using Clock = std::chrono::steady_clock;
 /// against actual alone it would not demonstrate consistency with the
 /// pipeline.  The cross-validation sweep writes both errors per cell.
 constexpr double kConfidentErrorBound = 0.08;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double time_best(std::size_t reps, Fn&& body) {
-  double best = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    body();
-    const double elapsed = seconds_since(start);
-    if (elapsed > 0.0 && (best == 0.0 || elapsed < best)) best = elapsed;
-  }
-  return best;
-}
 
 bool traces_equal(const trace::Trace& a, const trace::Trace& b) {
   if (a.size() != b.size()) return false;
@@ -141,10 +120,8 @@ constexpr std::size_t kExpectedConfident = 9;
 
 int main(int argc, char** argv) {
   const support::Cli cli(argc, argv);
-  const std::string out_path = cli.get("out", "BENCH_model.json");
   const std::string crossval_path =
       cli.get("crossval-out", "MODEL_crossval.json");
-  const auto reps = static_cast<std::size_t>(cli.get_int("reps", 5));
   const std::int64_t n = cli.get_int("n", 600);
   const std::int64_t crossval_n = cli.get_int("crossval-n", 300);
   const auto threads = static_cast<std::size_t>(cli.get_int("threads", 2));
@@ -285,86 +262,25 @@ int main(int argc, char** argv) {
         cells.size() - cv_confident, cv_uncertain_min_u);
   }
 
-  // --- timing -------------------------------------------------------------
-  const double cells12 = static_cast<double>(grid.size());
-  const double unscreened_s = time_best(reps, [&] {
-    if (experiments::run_grid(grid, grid_options).size() != grid.size())
-      std::abort();
-  });
-  const double screened_s = time_best(reps, [&] {
-    if (experiments::run_grid_screened(grid, screen_options).cells.size() !=
-        grid.size())
-      std::abort();
-  });
-  const double speedup12 = screened_s > 0.0 ? unscreened_s / screened_s : 0.0;
-
-  // All-confident sweep: DOALL loops across plans — the model answers every
-  // cell, so the screened sweep does no simulation at all.
+  // --- full screening: an all-confident sweep ------------------------------
+  // DOALL loops across plans: the model answers every cell, so the screened
+  // sweep does no simulation at all.
   std::vector<experiments::Scenario> confident_sweep;
   for (const int loop : {1, 7, 8, 9, 10, 12, 13, 14})
     for (const auto plan : {experiments::PlanKind::kStatementsOnly,
                             experiments::PlanKind::kFull})
       confident_sweep.push_back(
           bench::concurrent_scenario(loop, n, setup, plan));
-  {
-    const auto check = experiments::run_grid_screened(confident_sweep,
-                                                      screen_options);
-    PERTURB_CHECK_MSG(check.fallthrough == 0,
-                      "confident sweep unexpectedly fell through");
-  }
-  const double sweep_cells = static_cast<double>(confident_sweep.size());
-  const double sweep_unscreened_s = time_best(reps, [&] {
-    if (experiments::run_grid(confident_sweep, grid_options).size() !=
-        confident_sweep.size())
-      std::abort();
-  });
-  const double sweep_screened_s = time_best(reps, [&] {
-    if (experiments::run_grid_screened(confident_sweep, screen_options)
-            .cells.size() != confident_sweep.size())
-      std::abort();
-  });
-  const double sweep_speedup =
-      sweep_screened_s > 0.0 ? sweep_unscreened_s / sweep_screened_s : 0.0;
-
-  std::printf(
-      "\ntiming (n=%lld, %zu reps, %zu threads)\n"
-      "  12-cell grid      unscreened %8.1f ms   screened %8.1f ms  %7.2fx\n"
-      "  confident sweep   unscreened %8.1f ms   screened %8.3f ms  %7.2fx "
-      "(%zu cells)\n",
-      static_cast<long long>(n), reps, threads, unscreened_s * 1e3,
-      screened_s * 1e3, speedup12, sweep_unscreened_s * 1e3,
-      sweep_screened_s * 1e3, sweep_speedup, confident_sweep.size());
-
-  // --- JSON ---------------------------------------------------------------
-  std::string json = support::strf(
-      "{\n  \"bench\": \"model\",\n  \"n\": %lld,\n  \"crossval_n\": %lld,\n"
-      "  \"rates\": {\"screen_12cell_screened\": %.1f, "
-      "\"screen_12cell_unscreened\": %.1f, "
-      "\"screen_confident_sweep_screened\": %.1f, "
-      "\"screen_confident_sweep_unscreened\": %.1f},\n"
-      "  \"screen\": {\"confident\": %zu, \"fallthrough\": %zu},\n"
-      "  \"accuracy\": {\"confident_max_rel_error\": %.4f, "
-      "\"crossval_confident_max_rel_error\": %.4f, "
-      "\"crossval_fallthrough_min_uncertainty\": %.3f},\n",
-      static_cast<long long>(n), static_cast<long long>(crossval_n),
-      cells12 / screened_s, cells12 / unscreened_s,
-      sweep_cells / sweep_screened_s, sweep_cells / sweep_unscreened_s,
-      screened.confident, screened.fallthrough, confident_max_err,
-      cv_confident_max_err, cv_uncertain_min_u);
-  json += support::strf(
-      "  \"speedups\": {\"screen_12cell\": %.3f, "
-      "\"screen_confident_sweep\": %.3f},\n",
-      speedup12, sweep_speedup);
-  // The bars this PR was built to clear: 3x on the mixed acceptance grid,
-  // an order of magnitude when the model screens every cell.
-  json += "  \"floors\": {\"screen_12cell\": 3.0, "
-          "\"screen_confident_sweep\": 10.0}\n}\n";
+  const auto sweep = experiments::run_grid_screened(confident_sweep,
+                                                    screen_options);
+  PERTURB_CHECK_MSG(sweep.fallthrough == 0,
+                    "confident sweep unexpectedly fell through");
+  std::printf("full screening: %zu-cell DOALL sweep, every cell confident\n",
+              confident_sweep.size());
 
   std::string werr;
-  PERTURB_CHECK_MSG(support::write_file_atomic(out_path, json, &werr),
-                    "cannot write bench output file");
   PERTURB_CHECK_MSG(support::write_file_atomic(crossval_path, crossval, &werr),
                     "cannot write cross-validation report");
-  std::printf("\nwrote %s and %s\n", out_path.c_str(), crossval_path.c_str());
+  std::printf("\nwrote %s\n", crossval_path.c_str());
   return 0;
 }

@@ -109,22 +109,6 @@ void BM_TraceIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceIndexBuild)->Arg(256)->Arg(1024);
 
-// The retained single-pass map-based builder, kept as the correctness and
-// performance reference for the counting-sort builder above.
-void BM_TraceIndexBuildReference(benchmark::State& state) {
-  const auto prog = loops::make_concurrent_ir(17, state.range(0));
-  const auto setup = default_setup();
-  const auto plan = experiments::make_plan(experiments::PlanKind::kFull, setup);
-  const auto measured = sim::simulate(setup.machine, prog, plan, "bench");
-  for (auto _ : state) {
-    trace::TraceIndex index(trace::TraceIndex::ReferenceBuild{}, measured);
-    benchmark::DoNotOptimize(index.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(measured.size()));
-}
-BENCHMARK(BM_TraceIndexBuildReference)->Arg(256)->Arg(1024);
-
 /// Collects every advance key of a trace, in trace order.
 std::vector<trace::SyncKey> advance_keys(const trace::Trace& t) {
   std::vector<trace::SyncKey> keys;

@@ -4,14 +4,9 @@
 
 namespace perturb::core {
 
-namespace {
-
-using CompareFn = trace::TraceComparison (*)(const trace::Trace&,
-                                             const trace::Trace&);
-
-ApproximationQuality assess_with(const trace::Trace& measured,
-                                 const trace::Trace& approx,
-                                 const trace::Trace& actual, CompareFn cmp_fn) {
+ApproximationQuality assess(const trace::Trace& measured,
+                            const trace::Trace& approx,
+                            const trace::Trace& actual) {
   ApproximationQuality q;
   const auto actual_total = static_cast<double>(actual.total_time());
   if (actual_total > 0.0) {
@@ -21,27 +16,13 @@ ApproximationQuality assess_with(const trace::Trace& measured,
         static_cast<double>(approx.total_time()) / actual_total;
     q.percent_error = (q.approx_over_actual - 1.0) * 100.0;
   }
-  const auto cmp = cmp_fn(approx, actual);
+  const auto cmp = trace::compare(approx, actual);
   q.mean_abs_event_error = cmp.mean_abs_time_error;
   q.rms_event_error = cmp.rms_time_error;
   q.p50_event_error = cmp.p50_abs_time_error;
   q.p95_event_error = cmp.p95_abs_time_error;
   q.matched_events = cmp.matched_events;
   return q;
-}
-
-}  // namespace
-
-ApproximationQuality assess(const trace::Trace& measured,
-                            const trace::Trace& approx,
-                            const trace::Trace& actual) {
-  return assess_with(measured, approx, actual, trace::compare);
-}
-
-ApproximationQuality assess_reference(const trace::Trace& measured,
-                                      const trace::Trace& approx,
-                                      const trace::Trace& actual) {
-  return assess_with(measured, approx, actual, trace::compare_reference);
 }
 
 }  // namespace perturb::core

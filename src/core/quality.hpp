@@ -29,12 +29,4 @@ ApproximationQuality assess(const trace::Trace& measured,
                             const trace::Trace& approx,
                             const trace::Trace& actual);
 
-/// Same scoring through trace::compare_reference (the pre-optimization
-/// comparator).  Produces values bit-identical to assess(); exists so the
-/// reference experiment driver (experiments::run_grid_reference) can be
-/// timed entirely on pre-optimization components.
-ApproximationQuality assess_reference(const trace::Trace& measured,
-                                      const trace::Trace& approx,
-                                      const trace::Trace& actual);
-
 }  // namespace perturb::core

@@ -305,62 +305,4 @@ ScreenedGrid run_grid_screened(const std::vector<Scenario>& scenarios,
   return grid;
 }
 
-std::vector<LoopRun> run_grid_reference(
-    const std::vector<Scenario>& scenarios) {
-  std::vector<LoopRun> runs;
-  runs.reserve(scenarios.size());
-  trace::IoArena arena;
-  const sim::NullInstrumentation null_hook;
-  for (const Scenario& s : scenarios) {
-    const sim::Program program = make_program(s);
-    const std::string name = scenario_name(s);
-    const instr::InstrumentationPlan plan = make_plan(s.plan, s.setup);
-
-    LoopRun run;
-    run.actual = sim::simulate_reference(s.setup.machine, program, null_hook,
-                                         name + "/actual");
-    if (s.measured_path.empty()) {
-      if (s.workload && workload::has_interference(*s.workload)) {
-        const workload::InterferenceHook hook(plan, *s.workload);
-        run.measured = sim::simulate_reference(s.setup.machine, program, hook,
-                                               name + "/measured");
-      } else {
-        run.measured = sim::simulate_reference(s.setup.machine, program, plan,
-                                               name + "/measured");
-      }
-    } else {
-      run.measured = measured_for(s, plan, arena);
-    }
-    if (s.mutate_measured) s.mutate_measured(run.measured);
-
-    core::PipelineOptions options;
-    options.overheads = overheads_for(plan, s.setup.machine);
-    options.event_based.semaphore_capacity = sem_capacities_for(s);
-    options.repair = s.repair;
-    core::AnalysisPipeline pipeline(std::move(options));
-    pipeline.add(core::AnalyzerKind::kTimeBased)
-        .add(core::AnalyzerKind::kEventBased);
-    auto acquired = s.repair == core::RepairMode::kOff
-                        ? core::trusted_acquire(run.measured)
-                        : pipeline.acquire(run.measured);
-    // Run without an actual trace so the pipeline skips its (optimized)
-    // quality scoring; score below through the reference comparator.
-    auto result = pipeline.run(std::move(acquired), nullptr);
-    PERTURB_CHECK_MSG(result.acquire.ok, result.acquire.diagnosis);
-
-    run.tb_quality = core::assess_reference(
-        result.acquire.measured, result.outputs[0].approx, run.actual);
-    run.eb_quality = core::assess_reference(
-        result.acquire.measured, result.outputs[1].approx, run.actual);
-    run.tb_quality.degraded_input = result.acquire.degraded;
-    run.eb_quality.degraded_input = result.acquire.degraded;
-
-    run.time_based = std::move(result.outputs[0].approx);
-    run.event_based = std::move(*result.outputs[1].event_stats);
-    run.event_based.approx = std::move(result.outputs[1].approx);
-    runs.push_back(std::move(run));
-  }
-  return runs;
-}
-
 }  // namespace perturb::experiments

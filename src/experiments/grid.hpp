@@ -82,12 +82,6 @@ struct GridOptions {
 std::vector<LoopRun> run_grid(const std::vector<Scenario>& scenarios,
                               const GridOptions& options = {});
 
-/// The pre-optimization grid driver, kept verbatim in spirit: one scenario
-/// at a time, no actual-run memoization, simulate_reference for both runs
-/// and compare_reference for quality scoring.  Produces results identical
-/// to run_grid; exists as the reference timing in bench/bench_sim.
-std::vector<LoopRun> run_grid_reference(const std::vector<Scenario>& scenarios);
-
 // ---- analytical screening (ROADMAP item 2) -------------------------------
 
 /// Analytical verdict for one grid cell: the model evaluated under both of

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/ready_queue.hpp"
 #include "sim/scheduler.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
@@ -54,8 +53,8 @@ struct Frame {
 };
 
 /// One event as recorded into a per-processor arena: the event plus its
-/// global emission ordinal, which is the tie-break that reproduces the
-/// reference engine's append order among equal timestamps.
+/// global emission ordinal, the tie-break among equal timestamps that keeps
+/// the merged trace in happened-before-consistent emission order.
 struct Pending {
   Event e;
   std::uint64_t seq;
@@ -65,7 +64,7 @@ struct Proc {
   ProcId id = 0;
   Tick clock = 0;
   std::vector<Frame> stack;
-  std::vector<Pending> arena;  ///< fast path: this processor's events
+  std::vector<Pending> arena;  ///< this processor's events
   std::uint64_t events_recorded = 0;
   bool queued = false;
   std::int64_t par_iter = -1;  ///< current parallel-loop iteration, -1 outside
@@ -92,18 +91,16 @@ class WaitList {
 };
 
 struct VarState {
-  // Reference path: pair → visibility time.
-  std::unordered_map<std::int64_t, Tick> advanced;
-  // Fast path: the active episode's advances as a flat index-keyed table
-  // (re-assigned per loop execution), plus a rare overflow map for advance
-  // indices beyond the loop's trip count (dead advances nobody can await).
+  // The active episode's advances as a flat index-keyed table (re-assigned
+  // per loop execution), plus a rare overflow map for advance indices beyond
+  // the loop's trip count (dead advances nobody can await).
   std::vector<Tick> advanced_flat;
   std::unordered_map<std::int64_t, Tick> advanced_over;
   /// Blocked awaiters as flat (pair, proc) entries in block order; an
   /// advance wakes its pair's entries front-to-back, which preserves the
   /// per-pair FIFO the old map-of-vectors gave.
   std::vector<std::pair<std::int64_t, ProcId>> waiters;
-  /// Fast path, large machines: per-pair waiter FIFOs keyed on the awaited
+  /// Large machines: per-pair waiter FIFOs keyed on the awaited
   /// pair, populated once `waiters` outgrows kWaiterIndexThreshold.  In
   /// debug builds `waiters` is kept as a shadow to assert the index wakes
   /// the exact processors, in the exact order, the linear scan would.
@@ -158,7 +155,7 @@ std::int64_t count_awaitable(const IndexExpr& ix, std::int64_t trip) {
 }
 
 /// Exact number of events a run of `prog` under `hook` records, folded from
-/// the IR's trip counts; lets the fast path reserve its arenas up front and
+/// the IR's trip counts; lets the engine reserve its arenas up front and
 /// the final trace exactly.  `HookT` is the sealed hook type, so the
 /// records() queries here are the same direct calls the run loop makes.
 template <typename HookT>
@@ -235,26 +232,19 @@ class EventCounter {
   const HookT& hook_;
 };
 
-/// The discrete-event engine, templated on the hook's concrete type and on
-/// the execution strategy.
+/// The discrete-event engine, templated on the hook's concrete type.
 ///
 /// `HookT` seals per-event dispatch: for NullInstrumentation and
 /// CostTableHook (both `final`), records()/probe_cost() compile to direct,
 /// inlinable calls; `HookT = InstrumentationHook` is the retained virtual
 /// fallback for out-of-tree hooks.
 ///
-/// `kFastPath` selects between:
-///  - the fast engine: per-processor append-only event arenas merged once at
-///    finalize by (time, emission ordinal), a run-ahead scheduler that keeps
-///    stepping the current processor while it remains the global (tick, pid)
-///    minimum instead of cycling it through the ready heap, flat
-///    index-keyed advance tables, and the indexed waiter lookup;
-///  - the reference engine (`kFastPath = false`): the pre-optimization
-///    implementation — single shared trace vector restored to time order by
-///    a stable sort, every action through the heap, hash-map advance state,
-///    linear waiter scans.  Retained as the equivalence baseline for tests
-///    and bench/bench_sim; both strategies produce byte-identical traces.
-template <typename HookT, bool kFastPath>
+/// Events go to per-processor append-only arenas merged once at finalize by
+/// (time, emission ordinal); the next action is the global (tick, pid)
+/// minimum of a flat per-processor clock array; advances live in flat
+/// index-keyed tables; and blocked awaiters are found by a linear scan that
+/// switches to a per-pair index on large machines.
+template <typename HookT>
 class Engine {
  public:
   Engine(const MachineConfig& cfg, const Program& prog, const HookT& hook,
@@ -268,22 +258,14 @@ class Engine {
     info.ticks_per_us = cfg.ticks_per_us;
     trace_ = trace::Trace(info);
     procs_.resize(cfg.num_procs);
-    if constexpr (kFastPath) {
-      expected_events_ = EventCounter<HookT>(cfg, hook).count(prog);
-    }
+    expected_events_ = EventCounter<HookT>(cfg, hook).count(prog);
     for (std::uint32_t q = 0; q < cfg.num_procs; ++q) {
       procs_[q].id = static_cast<ProcId>(q);
       procs_[q].stack.reserve(16);  // typical nesting; avoids regrow churn
-      if constexpr (kFastPath) {
-        // Exact total split evenly; imbalanced schedules regrow amortized.
-        procs_[q].arena.reserve(expected_events_ / cfg.num_procs + 8);
-      }
+      // Exact total split evenly; imbalanced schedules regrow amortized.
+      procs_[q].arena.reserve(expected_events_ / cfg.num_procs + 8);
     }
-    if constexpr (kFastPath) {
-      queued_clock_.assign(cfg.num_procs, kIdleClock);
-    } else {
-      ready_.reset(cfg.num_procs);
-    }
+    queued_clock_.assign(cfg.num_procs, kIdleClock);
     vars_.resize(prog.num_sync_vars() + 1);
     locks_.resize(prog.num_locks() + 1);
     sems_.resize(prog.num_semaphores() + 1);
@@ -301,45 +283,23 @@ class Engine {
         {Frame::Kind::kBlock, &prog_.root(), 0, nullptr, 0, 0});
     enqueue(master);
 
-    if constexpr (kFastPath) {
-      run_fast();
-    } else {
-      while (!ready_.empty()) {
-        const auto [t, pid] = ready_.top();
-        ready_.pop();
-        Proc& p = procs_[pid];
-        PERTURB_CHECK(p.queued);
-        PERTURB_CHECK_MSG(t == p.clock, "stale heap entry");
-        p.queued = false;
-        if (metrics_on_) --runnable_;
-        step(p);
-      }
-    }
+    run_loop();
     check_quiescent();
-    if constexpr (kFastPath) {
-      merge_arenas();
-    } else {
-      // Events were appended in action-processing order (nondecreasing
-      // action start times), but an action may emit events later than a
-      // subsequently processed action's events.  The stable sort restores
-      // global time order while keeping the happened-before-consistent
-      // order among ties.
-      trace_.sort_canonical();
-    }
+    merge_arenas();
     if (metrics_on_) flush_metrics();
     return std::move(trace_);
   }
 
  private:
-  // ---- fast run loop ---------------------------------------------------
+  // ---- run loop ---------------------------------------------------------
 
-  /// The fast path selects the next action by scanning a compact per-proc
-  /// clock array instead of maintaining a binary heap: with the machine
-  /// sizes the paper's experiments use (<= 16 processors) the whole array is
-  /// one or two cache lines, so an O(P) argmin beats heap sift bookkeeping —
-  /// and enqueue/dequeue become single stores.  Strict less with ascending
-  /// scan order reproduces the heap's (tick, pid) lexicographic minimum.
-  void run_fast() {
+  /// Selects the next action by scanning a compact per-proc clock array
+  /// instead of maintaining a binary heap: with the machine sizes the
+  /// paper's experiments use (<= 16 processors) the whole array is one or
+  /// two cache lines, so an O(P) argmin beats heap sift bookkeeping — and
+  /// enqueue/dequeue become single stores.  Strict less with ascending scan
+  /// order selects the (tick, pid) lexicographic minimum.
+  void run_loop() {
     for (;;) {
       Tick best = kIdleClock;
       std::size_t pid = queued_clock_.size();
@@ -360,12 +320,11 @@ class Engine {
   }
 
   /// Merges the per-processor arenas into one (time, emission ordinal)
-  /// ordered trace — exactly the order the reference engine's stable sort
-  /// produces.  Arenas are individually sorted (per-processor clocks are
-  /// nondecreasing and ordinals increase per emission), so a k-way merge
-  /// suffices; a winner tree over the cursors keeps it to ceil(log2 P) key
-  /// comparisons per event, which beats both a rescan per event and the
-  /// reference path's O(n log n) stable sort.
+  /// ordered trace: global time order, and emission order among ties.
+  /// Arenas are individually sorted (per-processor clocks are nondecreasing
+  /// and ordinals increase per emission), so a k-way merge suffices; a
+  /// winner tree over the cursors keeps it to ceil(log2 P) key comparisons
+  /// per event, which beats both a rescan per event and an O(n log n) sort.
   void merge_arenas() {
     std::size_t total = 0;
     for (const auto& q : procs_) total += q.arena.size();
@@ -442,12 +401,8 @@ class Engine {
     e.object = object;
     e.proc = p.id;
     e.kind = kind;
-    if constexpr (kFastPath) {
-      PERTURB_DCHECK(p.arena.empty() || p.arena.back().e.time <= e.time);
-      p.arena.push_back({e, seq_++});
-    } else {
-      trace_.append(e);
-    }
+    PERTURB_DCHECK(p.arena.empty() || p.arena.back().e.time <= e.time);
+    p.arena.push_back({e, seq_++});
     ++p.events_recorded;
   }
 
@@ -458,11 +413,7 @@ class Engine {
       ++runnable_;
       runnable_peak_ = std::max(runnable_peak_, runnable_);
     }
-    if constexpr (kFastPath) {
-      queued_clock_[p.id] = p.clock;
-    } else {
-      ready_.push(p.clock, p.id);
-    }
+    queued_clock_[p.id] = p.clock;
   }
 
   // ---- stepping --------------------------------------------------------
@@ -599,8 +550,8 @@ class Engine {
     return par_episode_ * kPairStride + idx;
   }
 
-  /// Fast path: records an advance's visibility, preferring the flat table
-  /// for in-range indices.  Returns false on a duplicate.
+  /// Records an advance's visibility, preferring the flat table for in-range
+  /// indices.  Returns false on a duplicate.
   bool advance_insert(VarState& v, std::int64_t idx, Tick visibility) {
     if (idx < static_cast<std::int64_t>(v.advanced_flat.size())) {
       if (v.advanced_flat[static_cast<std::size_t>(idx)] != kNotAdvanced)
@@ -622,32 +573,12 @@ class Engine {
     p.clock += cfg_.advance_cost;
     const Tick visibility = p.clock;  // visible before the probe runs
     VarState& v = vars_[n.object];
-    if constexpr (kFastPath) {
-      PERTURB_CHECK_MSG(advance_insert(v, idx, visibility),
-                        "duplicate advance of " + n.label);
-    } else {
-      const bool inserted = v.advanced.insert({pair, visibility}).second;
-      PERTURB_CHECK_MSG(inserted, "duplicate advance of " + n.label);
-    }
+    PERTURB_CHECK_MSG(advance_insert(v, idx, visibility),
+                      "duplicate advance of " + n.label);
 
     emit(p, EventKind::kAdvance, n.id, n.object, pair);
 
-    if constexpr (kFastPath) {
-      if (v.waiter_count > 0) wake_waiters(v, pair, visibility);
-    } else {
-      // Wake this pair's blocked awaiters in block order; the stable
-      // compaction keeps every other pair's entries in their original FIFO
-      // order.
-      std::size_t keep = 0;
-      for (std::size_t r = 0; r < v.waiters.size(); ++r) {
-        if (v.waiters[r].first == pair) {
-          wake_awaiter(procs_[v.waiters[r].second], visibility);
-        } else {
-          v.waiters[keep++] = v.waiters[r];
-        }
-      }
-      v.waiters.resize(keep);
-    }
+    if (v.waiter_count > 0) wake_waiters(v, pair, visibility);
     enqueue(p);
   }
 
@@ -672,20 +603,14 @@ class Engine {
     const Node& n = *f.node;
     const std::int64_t pair = f.iter;
     VarState& v = vars_[n.object];
-    Tick visibility = kNotAdvanced;
-    if constexpr (kFastPath) {
-      // Await indices are < trip (do_await filtered the rest), so only the
-      // flat table can hold the partner.
-      const auto idx = static_cast<std::size_t>(pair % kPairStride);
-      visibility = v.advanced_flat[idx];
-    } else {
-      const auto it = v.advanced.find(pair);
-      if (it != v.advanced.end()) visibility = it->second;
-    }
+    // Await indices are < trip (do_await filtered the rest), so only the
+    // flat table can hold the partner.
+    const Tick visibility =
+        v.advanced_flat[static_cast<std::size_t>(pair % kPairStride)];
     if (visibility == kNotAdvanced) {
       // Not yet advanced anywhere at or before our clock: block.  The
-      // matching advance will wake us (heap order guarantees it has not been
-      // processed yet).
+      // matching advance will wake us ((tick, pid) order guarantees it has
+      // not been processed yet).
       add_waiter(v, pair, p.id);
       return;  // not enqueued
     }
@@ -705,10 +630,6 @@ class Engine {
   }
 
   void add_waiter(VarState& v, std::int64_t pair, ProcId pid) {
-    if constexpr (!kFastPath) {
-      v.waiters.emplace_back(pair, pid);
-      return;
-    }
     ++v.waiter_count;
     if (!v.indexed) {
       v.waiters.emplace_back(pair, pid);
@@ -729,8 +650,8 @@ class Engine {
 #endif
   }
 
-  /// Fast-path wake: linear scan while the list is small, per-pair index
-  /// lookup once it crossed the threshold.  Wake order is block order for
+  /// Wakes a pair's awaiters: linear scan while the list is small, per-pair
+  /// index lookup once it crossed the threshold.  Wake order is block order for
   /// the advanced pair either way (asserted against the linear scan in
   /// debug builds).
   void wake_waiters(VarState& v, std::int64_t pair, Tick visibility) {
@@ -885,14 +806,9 @@ class Engine {
     // Fresh synchronization state per loop execution; nothing may be in
     // flight between parallel loops.
     for (auto& v : vars_) {
-      if constexpr (kFastPath) {
-        PERTURB_CHECK_MSG(v.waiter_count == 0, "awaiter leaked across loops");
-        v.advanced_flat.assign(static_cast<std::size_t>(n.trip), kNotAdvanced);
-        v.advanced_over.clear();
-      } else {
-        PERTURB_CHECK_MSG(v.waiters.empty(), "awaiter leaked across loops");
-        v.advanced.clear();
-      }
+      PERTURB_CHECK_MSG(v.waiter_count == 0, "awaiter leaked across loops");
+      v.advanced_flat.assign(static_cast<std::size_t>(n.trip), kNotAdvanced);
+      v.advanced_over.clear();
     }
     scheduler_ = make_scheduler(n.schedule, n.trip, cfg_.num_procs, cfg_);
     barrier_.arrived = 0;
@@ -992,13 +908,8 @@ class Engine {
           support::strf("deadlock: processor %u still has %zu frames",
                         unsigned(p.id), p.stack.size()));
     }
-    for (const auto& v : vars_) {
-      if constexpr (kFastPath) {
-        PERTURB_CHECK_MSG(v.waiter_count == 0, "deadlock: awaiter never woken");
-      } else {
-        PERTURB_CHECK_MSG(v.waiters.empty(), "deadlock: awaiter never woken");
-      }
-    }
+    for (const auto& v : vars_)
+      PERTURB_CHECK_MSG(v.waiter_count == 0, "deadlock: awaiter never woken");
     for (const auto& l : locks_)
       PERTURB_CHECK_MSG(!l.held && l.waiters.empty(),
                         "deadlock: lock held or contended at exit");
@@ -1018,14 +929,11 @@ class Engine {
   std::vector<LockState> locks_;  ///< indexed by lock id (0 unused)
   std::vector<SemState> sems_;    ///< indexed by semaphore id (0 unused)
 
-  // Min-heap of (action start time, processor); ties resolve by processor id.
-  ReadyQueue ready_;
-
-  // Fast-path run-loop state.
+  // Run-loop state.
   std::uint64_t seq_ = 0;             ///< global emission ordinal
   std::uint64_t expected_events_ = 0; ///< exact IR-folded recorded-event count
   std::vector<Tick> queued_clock_;    ///< per-proc action time, kIdleClock when
-                                      ///< not runnable (replaces the heap)
+                                      ///< not runnable
 
   // Active parallel loop (at most one).
   const Node* par_loop_ = nullptr;
@@ -1052,23 +960,13 @@ trace::Trace simulate(const MachineConfig& config, const Program& program,
                       const std::string& run_name) {
   // Seal the two standard hook types so their per-event records()/
   // probe_cost() calls dispatch (and inline) statically; anything else runs
-  // the same fast engine through the retained virtual interface.
+  // the same engine through the retained virtual interface.
   if (const auto* null_hook = dynamic_cast<const NullInstrumentation*>(&hook))
-    return Engine<NullInstrumentation, true>(config, program, *null_hook,
-                                             run_name)
+    return Engine<NullInstrumentation>(config, program, *null_hook, run_name)
         .run();
   if (const auto* table = dynamic_cast<const CostTableHook*>(&hook))
-    return Engine<CostTableHook, true>(config, program, *table, run_name).run();
-  return Engine<InstrumentationHook, true>(config, program, hook, run_name)
-      .run();
-}
-
-trace::Trace simulate_reference(const MachineConfig& config,
-                                const Program& program,
-                                const InstrumentationHook& hook,
-                                const std::string& run_name) {
-  return Engine<InstrumentationHook, false>(config, program, hook, run_name)
-      .run();
+    return Engine<CostTableHook>(config, program, *table, run_name).run();
+  return Engine<InstrumentationHook>(config, program, hook, run_name).run();
 }
 
 trace::Trace simulate_actual(const MachineConfig& config,

@@ -56,14 +56,4 @@ trace::Trace simulate_actual(const MachineConfig& config,
                              const Program& program,
                              const std::string& run_name = "actual");
 
-/// The pre-optimization engine, kept verbatim: virtual hook dispatch on every
-/// event, a single shared trace vector restored to time order by a stable
-/// sort, every action cycled through the ready heap, and linear waiter scans.
-/// Produces traces byte-identical to simulate(); exists as the equivalence
-/// baseline for tests and as the reference timing in bench/bench_sim.
-trace::Trace simulate_reference(const MachineConfig& config,
-                                const Program& program,
-                                const InstrumentationHook& hook,
-                                const std::string& run_name);
-
 }  // namespace perturb::sim

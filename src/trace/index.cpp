@@ -1,7 +1,6 @@
 #include "trace/index.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "support/check.hpp"
 #include "support/parallel.hpp"
@@ -26,18 +25,13 @@ TraceIndex::TraceIndex(const Trace& trace, support::TaskPool& pool)
   build(&pool);
 }
 
-TraceIndex::TraceIndex(ReferenceBuild, const Trace& trace) : trace_(&trace) {
-  build_reference();
-}
-
-// Optimized builder.  Two independent scans (per-processor chains by
-// counting sort; one structural pass for sync/loop/iteration tables), then
-// three independent table sorts.  ProcId is 16-bit, so proc-indexed vectors
-// replace the reference builder's per-event hash lookups; duplicate-advance
-// detection moves from a hash probe per advance to one pass over the sorted
-// advance table (entries after the first of an equal-key run, restored to
-// trace order).  Every stage fills the same members with the same values as
-// build_reference — the differential tests hold the two builders equal.
+// Batch builder.  Two independent scans (per-processor chains by counting
+// sort; one structural pass for sync/loop/iteration tables), then three
+// independent table sorts.  ProcId is 16-bit, so proc-indexed vectors
+// replace per-event hash lookups; duplicate advances are found in one pass
+// over the sorted advance table (entries after the first of an equal-key
+// run, restored to trace order).  Every answer matches the committed digests
+// of the original map-based builder (tests/golden_digests.hpp).
 void TraceIndex::build(support::TaskPool* pool) {
   const Trace& trace = *trace_;
   const std::size_t n = trace.size();
@@ -229,134 +223,6 @@ void TraceIndex::finish_tables(
     finish_awaits();
     finish_barriers();
   }
-}
-
-// Reference builder: the original single-pass construction, kept verbatim
-// as the executable specification the optimized build() is tested against.
-void TraceIndex::build_reference() {
-  const Trace& trace = *trace_;
-  const std::size_t n = trace.size();
-  prev_on_proc_.assign(n, npos);
-  fork_dep_.assign(n, npos);
-  lock_dep_.assign(n, npos);
-  sem_ordinal_.assign(n, npos);
-
-  std::vector<std::pair<SyncKey, std::size_t>> advance_entries;
-  std::vector<std::pair<AwaitKey, std::size_t>> await_entries;
-  std::unordered_map<ProcId, std::size_t> last_on_proc;
-  std::unordered_map<ObjectId, std::size_t> last_release;
-  std::unordered_map<ObjectId, std::size_t> sem_acquire_count;
-  std::unordered_map<ProcId, std::size_t> open_iter;
-  std::unordered_map<SyncKey, std::size_t, SyncKeyHash> first_advance_of;
-  std::size_t open_loop = npos;
-  std::set<ProcId> joined;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Event& e = trace[i];
-
-    // Fork tracking: inside a parallel-loop episode, a processor's first
-    // event depends on the loop's spawn, not on that processor's previous
-    // event (it was idle through the master's sequential section).
-    if (e.kind == EventKind::kLoopBegin) {
-      open_loop = loops_.size();
-      loops_.push_back({i, npos, e.object, e.proc});
-      joined.clear();
-      joined.insert(e.proc);  // the master's own chain already covers it
-    } else if (e.kind == EventKind::kLoopEnd) {
-      if (open_loop != npos) loops_[open_loop].end_index = i;
-      open_loop = npos;
-    } else if (open_loop != npos && joined.insert(e.proc).second) {
-      fork_dep_[i] = loops_[open_loop].begin_index;
-    }
-
-    // Per-processor chain.
-    const auto lp = last_on_proc.find(e.proc);
-    if (lp != last_on_proc.end()) prev_on_proc_[i] = lp->second;
-    last_on_proc[e.proc] = i;
-    if (proc_events_.size() <= e.proc) proc_events_.resize(e.proc + 1u);
-    proc_events_[e.proc].push_back(i);
-
-    const SyncKey key{e.object, e.payload};
-    switch (e.kind) {
-      case EventKind::kAdvance:
-        if (!first_advance_of.insert({key, i}).second)
-          duplicate_advances_.push_back(i);
-        advance_entries.emplace_back(key, i);
-        break;
-      case EventKind::kAwaitBegin:
-        await_entries.emplace_back(AwaitKey{key, e.proc}, i);
-        break;
-      case EventKind::kLockAcquire: {
-        const auto lr = last_release.find(e.object);
-        if (lr != last_release.end()) lock_dep_[i] = lr->second;
-        break;
-      }
-      case EventKind::kLockRelease:
-        last_release[e.object] = i;
-        break;
-      case EventKind::kSemAcquire:
-        sem_ordinal_[i] = sem_acquire_count[e.object]++;
-        break;
-      case EventKind::kSemRelease:
-        sem_releases_[e.object].push_back(i);
-        break;
-      case EventKind::kBarrierArrive:
-      case EventKind::kBarrierDepart: {
-        const auto [it, inserted] = barrier_slot_.insert({key, barriers_.size()});
-        if (inserted) barriers_.push_back({key, {}, {}});
-        BarrierEpisode& ep = barriers_[it->second];
-        (e.kind == EventKind::kBarrierArrive ? ep.arrivals : ep.departs)
-            .push_back(i);
-        break;
-      }
-      case EventKind::kIterBegin: {
-        open_iter[e.proc] = iters_.size();
-        iters_.push_back({i, npos, e.payload, e.object, e.proc});
-        break;
-      }
-      case EventKind::kIterEnd: {
-        const auto oi = open_iter.find(e.proc);
-        if (oi != open_iter.end() && oi->second != npos) {
-          iters_[oi->second].end_index = i;
-          oi->second = npos;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  // Flat tables: sort by key then trace index, then split into parallel
-  // key/index arrays so per-key occurrence lists are contiguous ascending
-  // slices of the index array.
-  const auto by_key_then_index = [](const auto& a, const auto& b) {
-    if (!(a.first == b.first)) return a.first < b.first;
-    return a.second < b.second;
-  };
-  std::sort(advance_entries.begin(), advance_entries.end(), by_key_then_index);
-  std::sort(await_entries.begin(), await_entries.end(), by_key_then_index);
-  advance_keys_.reserve(advance_entries.size());
-  advance_idx_.reserve(advance_entries.size());
-  for (const auto& [key, idx] : advance_entries) {
-    advance_keys_.push_back(key);
-    advance_idx_.push_back(idx);
-  }
-  await_keys_.reserve(await_entries.size());
-  await_idx_.reserve(await_entries.size());
-  for (const auto& [key, idx] : await_entries) {
-    await_keys_.push_back(key);
-    await_idx_.push_back(idx);
-  }
-
-  // Barrier episodes in deterministic (object, payload) order.
-  std::sort(barriers_.begin(), barriers_.end(),
-            [](const BarrierEpisode& a, const BarrierEpisode& b) {
-              return a.key < b.key;
-            });
-  barrier_slot_.clear();
-  for (std::size_t s = 0; s < barriers_.size(); ++s)
-    barrier_slot_[barriers_[s].key] = s;
 }
 
 const std::vector<std::size_t>& TraceIndex::events_of(ProcId proc) const {

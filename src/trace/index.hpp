@@ -88,20 +88,12 @@ class TraceIndex {
     std::vector<std::size_t> departs;   ///< trace order
   };
 
-  /// Tag selecting the original single-pass, map-based builder.  Retained as
-  /// an executable specification of the index contents: differential tests
-  /// and the hot-path bench baseline compare the optimized builders against
-  /// it.
-  struct ReferenceBuild {};
-
   explicit TraceIndex(const Trace& trace);
 
   /// Builds with the per-processor chain scan and the structural sync-table
   /// scan (then the three flat-table sorts) running as independent tasks on
   /// `pool`.  Bit-identical to the serial build at any pool size.
   TraceIndex(const Trace& trace, support::TaskPool& pool);
-
-  TraceIndex(ReferenceBuild, const Trace& trace);
 
   const Trace& trace() const noexcept { return *trace_; }
   std::size_t size() const noexcept { return prev_on_proc_.size(); }
@@ -211,7 +203,6 @@ class TraceIndex {
   friend class IncrementalTraceIndex;
 
   void build(support::TaskPool* pool);
-  void build_reference();
 
   struct AwaitKey {
     SyncKey key;
@@ -259,7 +250,7 @@ class TraceIndex {
 /// the same per-event transition as build()'s two scans; seal() runs the
 /// same table finishers — so the sealed index is identical (every query
 /// answers the same) to a TraceIndex built over the complete trace in one
-/// shot, with ReferenceBuild as the common oracle.
+/// shot.
 class IncrementalTraceIndex {
  public:
   IncrementalTraceIndex() = default;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -188,8 +186,8 @@ TraceComparison compare(const Trace& a, const Trace& b) {
   for (auto& s : table.slots()) s.cursor = 0;
 
   // Walk a in trace order: the nth occurrence of a key matches the nth
-  // occurrence in b.  Accumulation order over `a` is identical to
-  // compare_reference, so the floating-point results are bit-identical.
+  // occurrence in b.  Errors accumulate in `a` order, so the floating-point
+  // results are a pure function of the two traces.
   TraceComparison c;
   double abs_sum = 0.0;
   double sq_sum = 0.0;
@@ -216,62 +214,6 @@ TraceComparison compare(const Trace& a, const Trace& b) {
     c.rms_time_error = std::sqrt(sq_sum / static_cast<double>(c.matched_events));
     c.p50_abs_time_error = support::percentile_inplace(abs_errors, 0.5);
     c.p95_abs_time_error = support::percentile_inplace(abs_errors, 0.95);
-  }
-  const auto bt = static_cast<double>(b.total_time());
-  c.total_time_ratio = bt != 0.0 ? static_cast<double>(a.total_time()) / bt : 0.0;
-  return c;
-}
-
-TraceComparison compare_reference(const Trace& a, const Trace& b) {
-  // Match key: identity of the instrumented action plus its per-processor
-  // occurrence ordinal (the same statement can execute many times).
-  using Key = std::tuple<ProcId, EventKind, EventId, ObjectId, std::int64_t,
-                         std::size_t>;
-  std::map<Key, Tick> b_times;
-  {
-    std::map<std::tuple<ProcId, EventKind, EventId, ObjectId, std::int64_t>,
-             std::size_t>
-        ordinal;
-    for (const auto& e : b) {
-      const auto base = std::make_tuple(e.proc, e.kind, e.id, e.object, e.payload);
-      const std::size_t n = ordinal[base]++;
-      b_times[std::tuple_cat(base, std::make_tuple(n))] = e.time;
-    }
-  }
-
-  TraceComparison c;
-  double abs_sum = 0.0;
-  double sq_sum = 0.0;
-  std::vector<double> abs_errors;
-  {
-    std::map<std::tuple<ProcId, EventKind, EventId, ObjectId, std::int64_t>,
-             std::size_t>
-        ordinal;
-    for (const auto& e : a) {
-      const auto base = std::make_tuple(e.proc, e.kind, e.id, e.object, e.payload);
-      const std::size_t n = ordinal[base]++;
-      const auto it = b_times.find(std::tuple_cat(base, std::make_tuple(n)));
-      if (it == b_times.end()) {
-        ++c.unmatched_a;
-        continue;
-      }
-      ++c.matched_events;
-      const auto err = static_cast<double>(e.time - it->second);
-      abs_sum += std::abs(err);
-      sq_sum += err * err;
-      abs_errors.push_back(std::abs(err));
-      c.max_abs_time_error =
-          std::max(c.max_abs_time_error, static_cast<Tick>(std::llabs(
-                                              static_cast<long long>(err))));
-      b_times.erase(it);
-    }
-  }
-  c.unmatched_b = b_times.size();
-  if (c.matched_events > 0) {
-    c.mean_abs_time_error = abs_sum / static_cast<double>(c.matched_events);
-    c.rms_time_error = std::sqrt(sq_sum / static_cast<double>(c.matched_events));
-    c.p50_abs_time_error = support::percentile(abs_errors, 0.5);
-    c.p95_abs_time_error = support::percentile(std::move(abs_errors), 0.95);
   }
   const auto bt = static_cast<double>(b.total_time());
   c.total_time_ratio = bt != 0.0 ? static_cast<double>(a.total_time()) / bt : 0.0;

@@ -74,10 +74,4 @@ struct TraceComparison {
 
 TraceComparison compare(const Trace& a, const Trace& b);
 
-/// The pre-optimization compare: ordered maps of per-key ordinals.  Produces
-/// results identical to compare() (bit-identical floats — the accumulation
-/// order over `a` is the same); kept as the equivalence baseline for tests
-/// and as the reference timing in bench/bench_sim.
-TraceComparison compare_reference(const Trace& a, const Trace& b);
-
 }  // namespace perturb::trace

@@ -97,8 +97,8 @@ bool is_dependency_source(EventKind kind) {
 }
 
 /// Cost removed from `d` by a `pct`-percent virtual speedup.  Truncating
-/// integer division, applied per event — the one arithmetic both the engine
-/// and the reference must share for bit-identity.
+/// integer division, applied per event — the arithmetic the sparse and the
+/// lane-batched evaluations (and the test oracle) share for bit-identity.
 Tick removal_of(Tick d, std::int64_t pct) { return (d * pct) / 100; }
 
 }  // namespace
@@ -782,95 +782,6 @@ std::vector<SiteImpact> WhatIfEngine::rank(std::int64_t pct,
                    });
   if (ranking.size() > top_n) ranking.resize(top_n);
   return ranking;
-}
-
-WhatIfResult whatif_reference(const TraceIndex& idx, const SiteRegistry& sites,
-                              const WhatIfPlan& plan) {
-  const Trace& t = idx.trace();
-  const std::size_t n = t.size();
-  std::vector<char> member(n, 0);
-  for (const std::size_t i : site_member_events(idx, sites, plan.site))
-    member[i] = 1;
-
-  // Full per-event re-simulation with rewritten costs.
-  std::vector<Tick> tp(n, 0);
-  WhatIfResult out;
-  out.waiting.assign(t.info().num_procs, 0);
-  std::vector<std::size_t> cross;
-  for (std::size_t i = 0; i < n; ++i) {
-    cross.clear();
-    for_each_cross_pred(idx, i,
-                        [&](std::size_t p) { cross.push_back(p); });
-    const std::size_t prev = idx.prev_on_proc(i);
-    // Baseline local cost from the recovered times.
-    Tick base0 = 0;
-    bool any = false;
-    if (prev != kNone) {
-      base0 = t[prev].time;
-      any = true;
-    }
-    for (const std::size_t c : cross) {
-      if (!any || t[c].time > base0) base0 = t[c].time;
-      any = true;
-    }
-    Tick d = t[i].time - (any ? base0 : 0);
-    if (member[i]) d -= removal_of(d, plan.pct);
-    // Virtual time under the rewritten cost: same predecessor max as the
-    // baseline pass, over the virtual times.
-    Tick base = 0;
-    bool anyp = false;
-    if (prev != kNone) {
-      base = tp[prev];
-      anyp = true;
-    }
-    for (const std::size_t c : cross) {
-      if (!anyp || tp[c] > base) base = tp[c];
-      anyp = true;
-    }
-    tp[i] = (anyp ? base : 0) + d;
-    if (prev != kNone && t[i].proc < out.waiting.size())
-      out.waiting[t[i].proc] += base - tp[prev];
-  }
-
-  // Makespan over per-processor chain endpoints.
-  Tick lo = 0, hi = 0;
-  bool seen = false;
-  std::size_t end = kNone;
-  for (std::size_t p = 0; p < idx.num_procs(); ++p) {
-    const auto& evs = idx.events_of(static_cast<ProcId>(p));
-    if (evs.empty()) continue;
-    const Tick f = tp[evs.front()];
-    const Tick l = tp[evs.back()];
-    if (!seen || f < lo) lo = f;
-    if (!seen || l > hi) hi = l;
-    seen = true;
-    if (end == kNone || l > tp[end] || (l == tp[end] && evs.back() > end))
-      end = evs.back();
-  }
-  out.makespan = seen ? hi - lo : 0;
-
-  // Per-event critical-path walk: binding predecessor is the latest; ties
-  // prefer the same-processor chain, then the earliest cross dependency.
-  if (end != kNone) {
-    std::size_t cur = end;
-    while (true) {
-      const std::size_t prev = idx.prev_on_proc(cur);
-      cross.clear();
-      for_each_cross_pred(idx, cur,
-                          [&](std::size_t p) { cross.push_back(p); });
-      std::size_t best = kNone;
-      for (const std::size_t c : cross)
-        if (best == kNone || tp[c] > tp[best]) best = c;
-      if (prev != kNone && (best == kNone || tp[prev] >= tp[best]))
-        cur = prev;
-      else if (best != kNone)
-        cur = best;
-      else
-        break;
-    }
-    out.critical_path = tp[end] - tp[cur];
-  }
-  return out;
 }
 
 std::string render_whatif(const WhatIfDag& dag, const WhatIfPlan& plan,

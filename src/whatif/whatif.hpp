@@ -28,9 +28,9 @@
 // forward delta propagation over the anchor graph from the perturbed site
 // only: a min-heap frontier pops anchors in trace (= topological) order and
 // pushes successors only when a time actually changed.  Small speedups
-// touch a small cone.  `whatif_reference` rewrites every event's cost and
-// re-simulates the full trace — the equivalence oracle: both paths are
-// bit-identical by construction (same arithmetic, same rules).
+// touch a small cone.  The tests hold it bit-identical to a dense oracle
+// that rewrites every event's cost and re-simulates the full trace
+// (tests/whatif_oracle.hpp).
 //
 // Sweeps batch further: run_many evaluates distinct plans in lane blocks —
 // one dense forward pass over the anchor arrays computes kLaneWidth
@@ -97,8 +97,8 @@ std::optional<WhatIfSpec> parse_whatif_spec(std::string_view spec,
                                             std::string* error);
 
 /// Member events of one site, ascending trace indices.  The single source
-/// of site-membership semantics, shared by the DAG builder and the
-/// reference oracle:
+/// of site-membership semantics, shared by the DAG builder and the test
+/// oracle:
 ///   stmt#id    every kStmtExit carrying that statement id (the exit owns
 ///              the statement's duration in the cost model),
 ///   loop#obj   every event strictly inside a loop episode (begin, end] of
@@ -139,8 +139,6 @@ class WhatIfDag {
 
  private:
   friend class WhatIfEngine;
-  friend WhatIfResult whatif_reference(const trace::TraceIndex&,
-                                       const SiteRegistry&, const WhatIfPlan&);
 
   struct SiteMembers {
     /// Member anchors (slots): their own cost is scaled.
@@ -239,14 +237,6 @@ class WhatIfEngine {
   std::vector<Scratch> serial_scratch_;  ///< lazily sized, for run()
   std::map<std::pair<SiteId, std::int64_t>, WhatIfResult> memo_;
 };
-
-/// The equivalence oracle: rewrites every event's local cost (scaling the
-/// plan's site members) and re-simulates the full trace event by event —
-/// no anchor compression, no delta propagation, no memoization.  Slow by
-/// design; bit-identical to WhatIfEngine::run on every trace.
-WhatIfResult whatif_reference(const trace::TraceIndex& index,
-                              const SiteRegistry& sites,
-                              const WhatIfPlan& plan);
 
 /// Renders one experiment next to the baseline.
 std::string render_whatif(const WhatIfDag& dag, const WhatIfPlan& plan,

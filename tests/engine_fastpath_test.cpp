@@ -1,220 +1,125 @@
-// Equivalence tests for the devirtualized engine fast paths: every trace
-// produced by simulate() (sealed NullInstrumentation / cost-table dispatch,
-// per-processor event arenas, flat ready selection, indexed waiter wakes)
-// must be byte-identical to simulate_reference() (virtual dispatch, shared
-// trace vector + stable sort, ready heap, linear waiter scans) on the same
-// inputs — across the Livermore suite, execution modes, schedules, hook
-// configurations, machine sizes that cross the waiter-index threshold, and
-// fuzzed random programs.
+// Bit-identity tests for the simulation engine: every trace simulate()
+// produces (sealed NullInstrumentation / cost-table dispatch, the virtual
+// fallback for other hooks, per-processor event arenas, flat ready
+// selection, indexed waiter wakes) must digest to the committed golden
+// value for its input — across the Livermore suite, execution modes,
+// schedules, hook configurations, machine sizes that cross the waiter-index
+// threshold, fuzzed random programs, and the synthesized workload families.
+// The inputs live in golden_cases.hpp, the digests in golden_digests.hpp.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "instr/plan.hpp"
-#include "loops/programs.hpp"
+#include "golden_cases.hpp"
+#include "golden_digests.hpp"
 #include "sim/engine.hpp"
-#include "support/prng.hpp"
+#include "trace_digest.hpp"
 
 namespace perturb::sim {
 namespace {
 
-using support::Xoshiro256;
-using trace::Event;
+using golden::EngineGroup;
 using trace::Trace;
+using trace::trace_digest;
 
-MachineConfig config(std::uint32_t procs = 8) {
-  MachineConfig cfg;
-  cfg.num_procs = procs;
-  return cfg;
+/// The committed digest for `label`; fails the test when there is none.
+std::uint64_t golden_digest(const std::string& label) {
+  for (const golden::Digest& d : golden::kEngineDigests)
+    if (label == d.label) return d.value;
+  ADD_FAILURE() << "no golden digest for " << label;
+  return 0;
 }
 
-void expect_traces_identical(const Trace& fast, const Trace& ref,
-                             const std::string& label) {
-  ASSERT_EQ(fast.size(), ref.size()) << label;
-  const auto& a = fast.events();
-  const auto& b = ref.events();
-  // No memcmp: Event has tail padding whose bytes are unspecified.
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].time, b[i].time) << label << " event " << i;
-    ASSERT_EQ(a[i].kind, b[i].kind) << label << " event " << i;
-    ASSERT_EQ(a[i].id, b[i].id) << label << " event " << i;
-    ASSERT_EQ(a[i].object, b[i].object) << label << " event " << i;
-    ASSERT_EQ(a[i].proc, b[i].proc) << label << " event " << i;
-    ASSERT_EQ(a[i].payload, b[i].payload) << label << " event " << i;
-  }
-}
-
-void expect_equivalent(const MachineConfig& cfg, const Program& program,
-                       const InstrumentationHook& hook,
-                       const std::string& label) {
-  const Trace fast = simulate(cfg, program, hook, label);
-  const Trace ref = simulate_reference(cfg, program, hook, label);
-  expect_traces_identical(fast, ref, label);
+void expect_group_matches_golden(EngineGroup group) {
+  golden::for_each_engine_case(
+      group, [](const std::string& label, const MachineConfig& cfg,
+                const Program& program, const InstrumentationHook& hook) {
+        const Trace t = simulate(cfg, program, hook, label);
+        EXPECT_EQ(trace_digest(t), golden_digest(label))
+            << label << " (" << t.size() << " events)";
+      });
 }
 
 TEST(EngineFastPath, LivermoreSuiteNullInstrumentation) {
-  const NullInstrumentation null_hook;
-  for (const int loop : {1, 3, 4, 7, 12, 17, 22}) {
-    expect_equivalent(config(), loops::make_concurrent_ir(loop, 200),
-                      null_hook, "null/con/lfk" + std::to_string(loop));
-    expect_equivalent(config(), loops::make_sequential_ir(loop, 200),
-                      null_hook, "null/seq/lfk" + std::to_string(loop));
-  }
-  for (const int loop : {1, 7, 12, 22})
-    expect_equivalent(config(), loops::make_vector_ir(loop, 200), null_hook,
-                      "null/vec/lfk" + std::to_string(loop));
+  expect_group_matches_golden(EngineGroup::kLivermoreNull);
 }
 
 TEST(EngineFastPath, LivermoreSuiteCostTablePlans) {
-  const auto stmts = instr::InstrumentationPlan::statements_only({175.0, 0.05},
-                                                                 1991);
-  const auto full = instr::InstrumentationPlan::full(
-      {175.0, 0.05}, {90.0, 0.05}, {60.0, 0.05}, 1991);
-  const auto sync = instr::InstrumentationPlan::sync_only({90.0, 0.05}, 7);
-  for (const int loop : {3, 4, 17}) {
-    const auto program = loops::make_concurrent_ir(loop, 200);
-    expect_equivalent(config(), program, stmts,
-                      "stmts/lfk" + std::to_string(loop));
-    expect_equivalent(config(), program, full,
-                      "full/lfk" + std::to_string(loop));
-    expect_equivalent(config(), program, sync,
-                      "sync/lfk" + std::to_string(loop));
-  }
+  expect_group_matches_golden(EngineGroup::kLivermorePlans);
 }
 
 TEST(EngineFastPath, AllSchedules) {
-  const auto full = instr::InstrumentationPlan::full(
-      {175.0, 0.05}, {90.0, 0.05}, {60.0, 0.05}, 1991);
-  for (const int loop : {3, 17}) {
-    for (const Schedule sched :
-         {Schedule::kCyclic, Schedule::kBlock, Schedule::kSelf}) {
-      const auto program = loops::make_concurrent_ir(loop, 150, sched);
-      expect_equivalent(config(), program, full,
-                        "sched" + std::to_string(static_cast<int>(sched)) +
-                            "/lfk" + std::to_string(loop));
-    }
-  }
+  expect_group_matches_golden(EngineGroup::kSchedules);
 }
 
 TEST(EngineFastPath, SiteFilterAndStmtExitVariants) {
-  const auto program = loops::make_concurrent_ir(17, 150);
-  auto filtered = instr::InstrumentationPlan::statements_only({175.0, 0.0}, 3);
-  std::vector<bool> filter(program.num_sites());
-  for (std::size_t i = 0; i < filter.size(); ++i) filter[i] = (i % 2) == 0;
-  filtered.set_site_filter(filter);
-  expect_equivalent(config(), program, filtered, "site-filter");
-
-  auto no_exit = instr::InstrumentationPlan::full({175.0, 0.05}, {90.0, 0.05},
-                                                  {60.0, 0.05}, 1991);
-  no_exit.set_record_stmt_exit(false);
-  expect_equivalent(config(), program, no_exit, "no-stmt-exit");
+  expect_group_matches_golden(EngineGroup::kPlanVariants);
 }
 
-// A hook that is neither NullInstrumentation nor a CostTableHook must take
-// the virtual-dispatch fallback inside simulate() — and still match the
-// reference engine exactly.
-class EveryOtherEvent final : public InstrumentationHook {
- public:
-  bool records(trace::EventKind kind, trace::EventId) const override {
-    return static_cast<int>(kind) % 2 == 0;
-  }
-  Cycles probe_cost(trace::EventKind, trace::EventId, trace::ProcId proc,
-                    std::uint64_t index) const override {
-    return 20 + static_cast<Cycles>((proc + index) % 7);
-  }
-};
-
+// A hook that is neither NullInstrumentation nor a CostTableHook takes the
+// virtual-dispatch instantiation inside simulate().
 TEST(EngineFastPath, CustomVirtualHookFallback) {
-  const EveryOtherEvent hook;
-  for (const int loop : {3, 17})
-    expect_equivalent(config(), loops::make_concurrent_ir(loop, 200), hook,
-                      "custom/lfk" + std::to_string(loop));
+  expect_group_matches_golden(EngineGroup::kCustomHook);
 }
 
-// 48 processors blocking on a distance-1 chain push a sync variable's
-// waiter list past the indexed-wake threshold (kWaiterIndexThreshold = 32);
-// wake order must not change when the index engages.
+// Wake order must not change when the indexed waiter lookup engages.
 TEST(EngineFastPath, ManyWaitersCrossIndexThreshold) {
-  const auto full = instr::InstrumentationPlan::full(
-      {700.0, 0.05}, {350.0, 0.05}, {200.0, 0.05}, 1991);
-  const NullInstrumentation null_hook;
-  for (const Schedule sched : {Schedule::kCyclic, Schedule::kSelf}) {
-    const auto program = loops::make_concurrent_ir(3, 400, sched);
-    expect_equivalent(config(48), program, null_hook, "waiters/null");
-    expect_equivalent(config(48), program, full, "waiters/full");
-  }
-}
-
-/// Compact randomized program in the style of fuzz_test: a parallel loop
-/// mixing computation, optional DOACROSS chain, and optional critical or
-/// semaphore region, deadlock-free by construction.
-Program make_random_program(std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  Program p;
-  auto rand_cost = [&](Cycles lo, Cycles hi) {
-    return lo + static_cast<Cycles>(
-                    rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
-  };
-
-  Block body;
-  const auto pre = 1 + rng.below(3);
-  for (std::uint64_t s = 0; s < pre; ++s)
-    body.nodes.push_back(compute("pre", rand_cost(5, 300)));
-  if (rng.below(2) == 0) {
-    Block inner;
-    inner.nodes.push_back(compute("inner", rand_cost(5, 40)));
-    body.nodes.push_back(seq_loop(
-        "seq", 1 + static_cast<std::int64_t>(rng.below(4)), std::move(inner)));
-  }
-  const bool chained = rng.below(3) != 0;
-  if (chained) {
-    const auto var = p.declare_sync_var("S");
-    const auto d = 1 + static_cast<std::int64_t>(rng.below(3));
-    body.nodes.push_back(await(var, {1, -d}));
-    body.nodes.push_back(compute("guarded", rand_cost(5, 60)));
-    body.nodes.push_back(advance(var, {1, 0}));
-  }
-  const auto region = rng.below(3);
-  if (region == 1) {
-    const auto lock = p.declare_lock("L");
-    body.nodes.push_back(
-        critical(lock, block(compute("cs", rand_cost(5, 80)))));
-  } else if (region == 2) {
-    const auto cap = 1 + static_cast<std::int64_t>(rng.below(3));
-    const auto sem = p.declare_semaphore("M", cap);
-    body.nodes.push_back(
-        semaphore_region(sem, block(compute("sem cs", rand_cost(5, 80)))));
-  }
-  if (rng.below(2) == 0)
-    body.nodes.push_back(compute("post", rand_cost(5, 150)));
-
-  const Schedule scheds[] = {Schedule::kCyclic, Schedule::kBlock,
-                             Schedule::kSelf};
-  const auto sched = scheds[rng.below(3)];
-  const auto trip = 16 + static_cast<std::int64_t>(rng.below(100));
-  p.root().nodes.push_back(compute("head", rand_cost(10, 100)));
-  p.root().nodes.push_back(par_loop(
-      "fuzz", chained ? LoopKind::kDoacross : LoopKind::kDoall, sched, trip,
-      std::move(body)));
-  p.root().nodes.push_back(compute("tail", rand_cost(10, 100)));
-  p.finalize();
-  return p;
+  expect_group_matches_golden(EngineGroup::kManyWaiters);
 }
 
 TEST(EngineFastPath, FuzzedProgramsAllHooks) {
-  const NullInstrumentation null_hook;
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const auto program = make_random_program(seed);
-    const auto procs = 2 + static_cast<std::uint32_t>(seed % 7);
-    const auto full = instr::InstrumentationPlan::full(
-        {175.0, 0.05}, {90.0, 0.05}, {60.0, 0.05}, seed);
-    expect_equivalent(config(procs), program, null_hook,
-                      "fuzz-null/" + std::to_string(seed));
-    expect_equivalent(config(procs), program, full,
-                      "fuzz-full/" + std::to_string(seed));
+  expect_group_matches_golden(EngineGroup::kFuzz);
+}
+
+// Five workload families x 2 seeds x {1, 2, 8} processors, actual and
+// measured; bursty's InterferenceHook runs the virtual-hook instantiation.
+TEST(EngineFastPath, GeneratedWorkloads) {
+  expect_group_matches_golden(EngineGroup::kWorkloads);
+}
+
+TEST(EngineFastPath, GoldenTableCoversEveryCaseOnce) {
+  std::set<std::string> labels;
+  for (const EngineGroup group : golden::kEngineGroups)
+    golden::for_each_engine_case(
+        group, [&](const std::string& label, const MachineConfig&,
+                   const Program&, const InstrumentationHook&) {
+          EXPECT_TRUE(labels.insert(label).second) << "duplicate " << label;
+        });
+  std::set<std::string> table;
+  for (const golden::Digest& d : golden::kEngineDigests)
+    EXPECT_TRUE(table.insert(d.label).second) << "duplicate row " << d.label;
+  EXPECT_EQ(labels, table);
+}
+
+// The digest sees every field of every event: a one-tick change anywhere
+// changes it.
+TEST(TraceDigest, OneTickChangeToAnyEventChangesDigest) {
+  const Trace base = simulate(golden::machine(4),
+                              loops::make_concurrent_ir(3, 20),
+                              golden::full_plan(), "digest");
+  const std::uint64_t d0 = trace_digest(base);
+  EXPECT_EQ(trace_digest(Trace(base)), d0);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (int field = 0; field < 6; ++field) {
+      Trace t = base;
+      trace::Event& e = t.events()[i];
+      switch (field) {
+        case 0: ++e.time; break;
+        case 1: ++e.payload; break;
+        case 2: ++e.id; break;
+        case 3: ++e.object; break;
+        case 4: ++e.proc; break;
+        case 5:
+          e.kind = static_cast<trace::EventKind>(static_cast<int>(e.kind) + 1);
+          break;
+      }
+      EXPECT_NE(trace_digest(t), d0) << "event " << i << " field " << field;
+    }
   }
+  Trace shorter = base;
+  shorter.events().pop_back();
+  EXPECT_NE(trace_digest(shorter), d0);
 }
 
 }  // namespace

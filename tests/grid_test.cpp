@@ -1,7 +1,7 @@
 // Tests for experiments::run_grid: bit-identical results at any thread
 // count, with memoization on or off, against the serial per-scenario
 // drivers — including under repair modes, fault injection, and file-based
-// measured traces — plus equivalence of run_grid_reference.
+// measured traces — plus golden quality scores on two real cells.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +11,7 @@
 #include "loops/programs.hpp"
 #include "trace/faults.hpp"
 #include "trace/io.hpp"
+#include "trace/trace_stats.hpp"
 
 namespace perturb::experiments {
 namespace {
@@ -175,15 +176,86 @@ TEST(Grid, MeasuredFromFileMatchesSimulated) {
   expect_runs_identical(runs[0], runs[1], "file vs simulated");
 }
 
-TEST(Grid, ReferenceDriverIdentical) {
-  std::vector<Scenario> grid;
-  grid.push_back(concurrent(3, 120, PlanKind::kFull));
-  grid.push_back(concurrent(17, 100, PlanKind::kStatementsOnly));
-  const auto fast = run_grid(grid, {.threads = 2, .memoize_actual = true});
-  const auto ref = run_grid_reference(grid);
-  ASSERT_EQ(ref.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    expect_runs_identical(fast[i], ref[i], "cell " + std::to_string(i));
+/// A TraceComparison pinned bit for bit (doubles as hex-float literals).
+struct GoldenComparison {
+  const char* label;  ///< "<cell>/<trace compared against actual>"
+  std::size_t matched, unmatched_a, unmatched_b;
+  double mean, rms, p50, p95;
+  trace::Tick max;
+  double total_time_ratio;
+};
+
+/// compare(x, actual) on two real cells, for x = the measured trace and the
+/// time- and event-based approximations.  Generated at commit 31dbc30, where
+/// compare() and the original map-based comparator agreed bit for bit on
+/// every row.
+constexpr GoldenComparison kGoldenComparisons[] = {
+    {"lfk3/measured", 858, 0, 0,
+     0x1.71bb995c7e821p+12, 0x1.a52092a659372p+12,
+     0x1.71b8p+12, 0x1.54bcccccccccdp+13,
+     11684, 0x1.6d66ab1453c92p+2},
+    {"lfk3/time-based", 858, 0, 0,
+     0x1.a0982af70c881p+7, 0x1.08c61e49ff5aep+8,
+     0x1.51p+7, 0x1.fap+8,
+     588, 0x1.2fe0a1caf69c4p+0},
+    {"lfk3/event-based", 858, 0, 0,
+     0x1.a2a5e48cd4703p+3, 0x1.fcf33b4eefd99p+3,
+     0x1.8p+3, 0x1.dp+4,
+     40, 0x1.01229113b54b7p+0},
+    {"lfk17/measured", 1402, 0, 516,
+     0x1.8a7c7ce55747fp+15, 0x1.cbc5811c2ffdcp+15,
+     0x1.89b3p+15, 0x1.7c7f733333333p+16,
+     105684, 0x1.3930fa5118f7cp+3},
+    {"lfk17/time-based", 1402, 0, 516,
+     0x1.11fca10cc8202p+15, 0x1.40eaa412a8261p+15,
+     0x1.141ap+15, 0x1.09a0ccccccccdp+16,
+     73838, 0x1.c8e5b6651b18bp+2},
+    {"lfk17/event-based", 1402, 0, 516,
+     0x1.11fca10cc8202p+15, 0x1.40eaa412a8261p+15,
+     0x1.141ap+15, 0x1.09a0ccccccccdp+16,
+     73838, 0x1.c8e5b6651b18bp+2},
+};
+
+void expect_comparison(const trace::TraceComparison& c,
+                       const GoldenComparison& g) {
+  EXPECT_EQ(c.matched_events, g.matched) << g.label;
+  EXPECT_EQ(c.unmatched_a, g.unmatched_a) << g.label;
+  EXPECT_EQ(c.unmatched_b, g.unmatched_b) << g.label;
+  EXPECT_EQ(c.mean_abs_time_error, g.mean) << g.label;
+  EXPECT_EQ(c.rms_time_error, g.rms) << g.label;
+  EXPECT_EQ(c.p50_abs_time_error, g.p50) << g.label;
+  EXPECT_EQ(c.p95_abs_time_error, g.p95) << g.label;
+  EXPECT_EQ(c.max_abs_time_error, g.max) << g.label;
+  EXPECT_EQ(c.total_time_ratio, g.total_time_ratio) << g.label;
+}
+
+/// The grid's quality scores are compare(approx, actual): assess() on real
+/// traces must reproduce the pinned comparisons exactly.
+void expect_quality_matches(const core::ApproximationQuality& q,
+                            const GoldenComparison& g) {
+  EXPECT_EQ(q.matched_events, g.matched) << g.label;
+  EXPECT_EQ(q.mean_abs_event_error, g.mean) << g.label;
+  EXPECT_EQ(q.rms_event_error, g.rms) << g.label;
+  EXPECT_EQ(q.p50_event_error, g.p50) << g.label;
+  EXPECT_EQ(q.p95_event_error, g.p95) << g.label;
+}
+
+TEST(Grid, QualityMatchesGoldenComparisons) {
+  const std::vector<Scenario> grid = {
+      concurrent(3, 120, PlanKind::kFull),
+      concurrent(17, 100, PlanKind::kStatementsOnly)};
+  const auto runs = run_grid(grid, {.threads = 2, .memoize_actual = true});
+  ASSERT_EQ(runs.size(), 2u);
+  for (std::size_t cell = 0; cell < runs.size(); ++cell) {
+    const LoopRun& run = runs[cell];
+    const GoldenComparison* g = &kGoldenComparisons[3 * cell];
+    expect_comparison(trace::compare(run.measured, run.actual), g[0]);
+    expect_comparison(trace::compare(run.time_based, run.actual), g[1]);
+    expect_comparison(trace::compare(run.event_based.approx, run.actual),
+                      g[2]);
+    expect_quality_matches(run.tb_quality, g[1]);
+    expect_quality_matches(run.eb_quality, g[2]);
+  }
 }
 
 TEST(Grid, EmptyGrid) {

@@ -1,18 +1,28 @@
 // Unit tests for the self-observability metrics registry: handle interning,
 // log2 bucketing, merge determinism across thread shards, snapshot/JSON
-// stability, and the disabled-path cost contract (no allocation, no shard
-// creation).
+// stability, the disabled-path cost contract (no allocation, no shard
+// creation), and phase coverage: the pipeline's stage timers account for a
+// whole run_file.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
 
+#include <unistd.h>
+
+#include "core/pipeline.hpp"
+#include "experiments/experiments.hpp"
+#include "loops/programs.hpp"
+#include "sim/engine.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
+#include "trace/io.hpp"
 
 // ---- allocation counting ------------------------------------------------
 //
@@ -183,6 +193,43 @@ TEST_F(MetricsTest, PhaseTimerArmedAtConstructionNotDestruction) {
     Metrics::enable(true);  // too late: the timer was built disarmed
   }
   EXPECT_EQ(Metrics::snapshot().histograms.at("test.timer.late").count, 0u);
+}
+
+// The stage timers must account for (almost) the entire pipeline run:
+// uninstrumented gaps would make the snapshot lie about where time goes.
+// Summed pipeline.phase.* nanoseconds over one run_file of a Livermore-3
+// trace must cover 0.90..1.05 of that run's wall time.
+TEST_F(MetricsTest, PipelinePhasesCoverRunFileWallTime) {
+  const experiments::Setup setup;
+  const auto plan = experiments::make_plan(experiments::PlanKind::kFull, setup);
+  const std::string path = ::testing::TempDir() + "metrics_coverage_" +
+                           std::to_string(::getpid()) + ".bin";
+  trace::save(path, sim::simulate(setup.machine,
+                                  loops::make_concurrent_ir(3, 4000), plan,
+                                  "metrics_coverage"));
+  core::PipelineOptions options;
+  options.overheads = experiments::overheads_for(plan, setup.machine);
+  options.machine = setup.machine;
+  core::AnalysisPipeline pipeline(options);
+  pipeline.add(core::AnalyzerKind::kEventBased);
+
+  // The first run interns the lazily registered handles; time the second.
+  ASSERT_TRUE(pipeline.run_file(path).acquire.ok);
+  Metrics::reset();
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = pipeline.run_file(path);
+  const double wall_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  std::remove(path.c_str());
+  ASSERT_TRUE(result.acquire.ok);
+
+  std::uint64_t phase_ns = 0;
+  for (const auto& [name, h] : Metrics::snapshot().histograms)
+    if (name.rfind("pipeline.phase.", 0) == 0) phase_ns += h.sum;
+  const double coverage = static_cast<double>(phase_ns) / wall_ns;
+  EXPECT_GE(coverage, 0.90);
+  EXPECT_LE(coverage, 1.05);
 }
 
 // The disabled path's cost contract: record operations allocate nothing and

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/ready_queue.hpp"
 #include "support/check.hpp"
 #include "trace/validate.hpp"
 
@@ -541,58 +540,6 @@ TEST(Engine, TraceIsTimeOrderedAndValid) {
   EXPECT_TRUE(t.is_time_ordered());
   const auto violations = trace::validate(t);
   EXPECT_TRUE(violations.empty()) << trace::describe(violations);
-}
-
-// ---- ReadyQueue: the engine's indexed min-heap ---------------------------
-
-TEST(ReadyQueue, PopsInTickThenPidOrder) {
-  ReadyQueue q;
-  q.reset(6);
-  q.push(30, 0);
-  q.push(10, 4);
-  q.push(20, 2);
-  q.push(10, 1);  // ties on tick resolve to the lower pid
-  q.push(25, 5);
-  std::vector<std::pair<trace::Tick, trace::ProcId>> popped;
-  while (!q.empty()) {
-    popped.push_back(q.top());
-    q.pop();
-  }
-  const std::vector<std::pair<trace::Tick, trace::ProcId>> want = {
-      {10, 1}, {10, 4}, {20, 2}, {25, 5}, {30, 0}};
-  EXPECT_EQ(popped, want);
-}
-
-TEST(ReadyQueue, UpdateReKeysInBothDirections) {
-  ReadyQueue q;
-  q.reset(4);
-  q.push(10, 0);
-  q.push(20, 1);
-  q.push(30, 2);
-  q.update(2, 5);  // decrease-key: jumps to the front
-  EXPECT_EQ(q.top(), (std::pair<trace::Tick, trace::ProcId>{5, 2}));
-  q.update(2, 40);  // increase-key: sinks to the back
-  EXPECT_EQ(q.top(), (std::pair<trace::Tick, trace::ProcId>{10, 0}));
-  q.pop();
-  q.pop();
-  EXPECT_EQ(q.top(), (std::pair<trace::Tick, trace::ProcId>{40, 2}));
-}
-
-TEST(ReadyQueue, TracksMembershipAcrossReset) {
-  ReadyQueue q;
-  q.reset(3);
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.contains(1));
-  q.push(7, 1);
-  EXPECT_TRUE(q.contains(1));
-  EXPECT_EQ(q.size(), 1u);
-  q.pop();
-  EXPECT_FALSE(q.contains(1));
-  q.push(9, 1);  // a popped processor may be queued again
-  EXPECT_TRUE(q.contains(1));
-  q.reset(3);
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.contains(1));
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //     SalvageReport; and a feed-mode reader matches a borrowed one on every
 //     image at any feed granularity;
 //   * IncrementalTraceIndex::seal answers every query like a batch-built
-//     TraceIndex, with ReferenceBuild as the common oracle;
+//     TraceIndex, and both match the committed digests of the original
+//     reference builder's answers;
 //   * the windowed StreamingReconstructor reproduces the batch event-based
 //     approximation bit for bit — including when an await's partner advance
 //     lands in a later window, when the final chunk is torn, and across the
@@ -30,11 +31,14 @@
 #include "core/eventbased.hpp"
 #include "core/pipeline.hpp"
 #include "experiments/experiments.hpp"
+#include "golden_cases.hpp"
+#include "golden_digests.hpp"
 #include "support/metrics.hpp"
 #include "trace/chunk_reader.hpp"
 #include "trace/faults.hpp"
 #include "trace/index.hpp"
 #include "trace/io.hpp"
+#include "trace_digest.hpp"
 #include "written_trace_oracle.hpp"
 
 namespace perturb {
@@ -294,10 +298,10 @@ void expect_index_equal(const trace::TraceIndex& a, const trace::TraceIndex& b,
   }
 }
 
-TEST(IncrementalTraceIndex, SealMatchesBatchAndReference) {
-  const Trace& t = loop17().measured;
+/// Seals an incremental index over `t`, appending in uneven slices that
+/// cross no particular boundary.
+trace::TraceIndex seal_in_slices(const Trace& t) {
   trace::IncrementalTraceIndex builder;
-  // Append in uneven slices, crossing no particular boundary.
   std::size_t off = 0;
   std::size_t piece = 1;
   while (off < t.size()) {
@@ -307,12 +311,27 @@ TEST(IncrementalTraceIndex, SealMatchesBatchAndReference) {
     piece = piece * 2 + 1;
   }
   EXPECT_EQ(builder.size(), t.size());
-  const trace::TraceIndex sealed = std::move(builder).seal(t);
+  return std::move(builder).seal(t);
+}
 
-  const trace::TraceIndex batch(t);
-  const trace::TraceIndex reference(trace::TraceIndex::ReferenceBuild{}, t);
-  expect_index_equal(sealed, batch, t);
-  expect_index_equal(sealed, reference, t);
+// Sealed == batch on every trace, and both answer exactly what the original
+// map-based reference builder answered: its digest is committed in
+// golden_digests.hpp.
+TEST(IncrementalTraceIndex, SealMatchesBatchAndReference) {
+  const Trace& t = loop17().measured;
+  expect_index_equal(seal_in_slices(t), trace::TraceIndex(t), t);
+
+  const auto traces = golden::index_traces();
+  ASSERT_EQ(traces.size(), std::size(golden::kIndexDigests));
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const auto& [label, subject] = traces[i];
+    SCOPED_TRACE(label);
+    ASSERT_EQ(label, golden::kIndexDigests[i].label);
+    const trace::TraceIndex batch(subject);
+    expect_index_equal(seal_in_slices(subject), batch, subject);
+    EXPECT_EQ(trace::index_digest(batch, subject),
+              golden::kIndexDigests[i].value);
+  }
 }
 
 // ---- StreamingReconstructor ----------------------------------------------

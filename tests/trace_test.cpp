@@ -2,6 +2,7 @@
 // merging, serialization round-trips, and trace comparison.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -402,11 +403,11 @@ TEST(TraceCompare, UnmatchedEventsCounted) {
   EXPECT_EQ(c.unmatched_b, 1u);
 }
 
-// Regression for the optimized comparator's packed MatchKey: boundary-valued
+// Regression for the comparator's packed MatchKey: boundary-valued
 // ids/objects/procs/payloads must neither alias each other nor collide with
-// the table's empty-slot sentinel.  The ordered-map reference implementation
-// keys on the unpacked tuple, so any packing bug shows up as a disagreement.
-TEST(TraceCompare, PackedKeyBoundariesAgreeWithReference) {
+// the table's empty-slot sentinel.  Every expected value below is worked out
+// by hand from the event pairs, so any packing bug shows up as a mismatch.
+TEST(TraceCompare, PackedKeyBoundariesMatchHandComputedValues) {
   constexpr EventId kMaxId = std::numeric_limits<EventId>::max();
   constexpr ObjectId kMaxObject = std::numeric_limits<ObjectId>::max();
   constexpr ProcId kMaxProc = std::numeric_limits<ProcId>::max();
@@ -442,21 +443,20 @@ TEST(TraceCompare, PackedKeyBoundariesAgreeWithReference) {
   both(110, 111, kMaxProc, EventKind::kSemRelease, kMaxId, kMaxObject,
        kMaxPayload);
 
-  const TraceComparison fast = compare(a, b);
-  const TraceComparison ref = compare_reference(a, b);
-  EXPECT_EQ(fast.matched_events, ref.matched_events);
-  EXPECT_EQ(fast.unmatched_a, ref.unmatched_a);
-  EXPECT_EQ(fast.unmatched_b, ref.unmatched_b);
-  EXPECT_EQ(fast.max_abs_time_error, ref.max_abs_time_error);
-  EXPECT_DOUBLE_EQ(fast.mean_abs_time_error, ref.mean_abs_time_error);
-  EXPECT_DOUBLE_EQ(fast.rms_time_error, ref.rms_time_error);
-  EXPECT_DOUBLE_EQ(fast.p50_abs_time_error, ref.p50_abs_time_error);
-  EXPECT_DOUBLE_EQ(fast.p95_abs_time_error, ref.p95_abs_time_error);
-  EXPECT_DOUBLE_EQ(fast.total_time_ratio, ref.total_time_ratio);
-  // Sanity: the boundary events genuinely participate.
-  EXPECT_EQ(fast.matched_events, 10u);
-  EXPECT_EQ(fast.unmatched_a, 1u);
-  EXPECT_EQ(fast.unmatched_b, 1u);
+  // Matched |errors|, pair by pair: 3 0 6 1 3 0 9 2 5 1.  Sorted:
+  // 0 0 1 1 2 3 3 5 6 9, so the median interpolates 2 and 3, and p95 sits
+  // at rank 8.55: 6 + 0.55 * (9 - 6).
+  const TraceComparison c = compare(a, b);
+  EXPECT_EQ(c.matched_events, 10u);
+  EXPECT_EQ(c.unmatched_a, 1u);
+  EXPECT_EQ(c.unmatched_b, 1u);
+  EXPECT_EQ(c.max_abs_time_error, 9);
+  EXPECT_EQ(c.mean_abs_time_error, 30.0 / 10.0);
+  EXPECT_DOUBLE_EQ(c.rms_time_error, std::sqrt(166.0 / 10.0));
+  EXPECT_EQ(c.p50_abs_time_error, 2.5);
+  EXPECT_DOUBLE_EQ(c.p95_abs_time_error, 7.65);
+  // Spans: a runs 10..110, b runs 13..111.
+  EXPECT_DOUBLE_EQ(c.total_time_ratio, 100.0 / 98.0);
 }
 
 }  // namespace

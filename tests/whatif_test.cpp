@@ -1,6 +1,6 @@
 // What-if engine suite: the delta-propagation engine must be bit-identical
-// to the rewrite-and-resimulate reference oracle on every trace we can
-// produce — the full Livermore kernel suite at 1/2/8 processors, and
+// to the rewrite-and-resimulate oracle (whatif_oracle.hpp) on every trace
+// we can produce — the full Livermore kernel suite at 1/2/8 processors, and
 // fault-injected/repaired traces — at any TaskPool thread count, with the
 // (site, pct) memo transparent to results.  Also covers the shared site
 // registry and the --whatif spec parser.
@@ -22,6 +22,7 @@
 #include "trace/index.hpp"
 #include "trace/repair.hpp"
 #include "whatif/whatif.hpp"
+#include "whatif_oracle.hpp"
 
 namespace perturb {
 namespace {
@@ -56,7 +57,7 @@ std::vector<WhatIfPlan> make_plans(const SiteRegistry& sites,
   return plans;
 }
 
-void expect_engine_matches_reference(const Trace& t,
+void expect_engine_matches_oracle(const Trace& t,
                                      const std::string& label,
                                      std::size_t plan_count = 20) {
   const TraceIndex index(t);
@@ -66,7 +67,7 @@ void expect_engine_matches_reference(const Trace& t,
   WhatIfEngine engine(dag);
   for (const WhatIfPlan& plan : make_plans(sites, plan_count)) {
     const WhatIfResult& fast = engine.run(plan);
-    const WhatIfResult slow = whatif_reference(index, sites, plan);
+    const WhatIfResult slow = whatif::whatif_oracle(index, sites, plan);
     ASSERT_EQ(fast, slow) << label << " site "
                           << sites.name(plan.site) << " pct " << plan.pct;
   }
@@ -154,14 +155,14 @@ TEST(SiteRegistry, WaitingAndCriticalPathShareSiteNames) {
   }
 }
 
-// ---- engine vs reference oracle -------------------------------------------
+// ---- engine vs oracle -----------------------------------------------------
 
 TEST(WhatIfEngine, MatchesReferenceAcrossLivermoreSuite) {
   // Every kernel of the suite at 1, 2 and 8 processors, >= 20 plans each.
   for (int loop = 1; loop <= loops::kNumKernels; ++loop) {
     for (const std::uint32_t procs : {1u, 2u, 8u}) {
       const Trace t = recovered_trace(loop, procs, 100);
-      expect_engine_matches_reference(
+      expect_engine_matches_oracle(
           t, "loop " + std::to_string(loop) + " procs " +
                  std::to_string(procs));
     }
@@ -180,20 +181,20 @@ TEST(WhatIfEngine, MatchesReferenceOnFaultInjectedRepairedTraces) {
         trace::ViolationKind::kBarrierOrder}) {
     const Trace faulted = trace::inject_violation(run.measured, kind);
     const trace::RepairResult repaired = trace::repair(faulted);
-    expect_engine_matches_reference(
+    expect_engine_matches_oracle(
         repaired.repaired,
         std::string("repaired ") + trace::violation_kind_name(kind));
     // The raw (unrepaired) faulted trace must agree too: the engine and the
     // oracle share the degenerate-case arithmetic, not just the happy path.
-    expect_engine_matches_reference(
+    expect_engine_matches_oracle(
         faulted, std::string("faulted ") + trace::violation_kind_name(kind),
         8);
   }
   // Degraded capture: dropped events and skewed clocks.
   const Trace dropped = trace::drop_random_events(run.measured, 0.05, 1991);
-  expect_engine_matches_reference(dropped, "dropped", 8);
+  expect_engine_matches_oracle(dropped, "dropped", 8);
   const Trace skewed = trace::skew_timestamps(run.measured, 40, 0.2, 7);
-  expect_engine_matches_reference(skewed, "skewed", 8);
+  expect_engine_matches_oracle(skewed, "skewed", 8);
 }
 
 // ---- determinism, memoization, batching -----------------------------------
@@ -213,6 +214,9 @@ TEST(WhatIfEngine, BitIdenticalAtAnyThreadCount) {
   }
   EXPECT_EQ(by_threads[0], by_threads[1]);
   EXPECT_EQ(by_threads[0], by_threads[2]);
+  for (std::size_t i = 0; i < plans.size(); ++i)
+    EXPECT_EQ(by_threads[0][i], whatif::whatif_oracle(index, sites, plans[i]))
+        << i;
 
   // And the serial run() path agrees with the batched path.
   WhatIfEngine serial(dag);
