@@ -1,6 +1,7 @@
 #include "analysis/sites.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 
 #include "support/text.hpp"
@@ -77,13 +78,22 @@ const char* site_kind_name(SiteKind kind) noexcept {
 }
 
 SiteRegistry::SiteRegistry(const trace::TraceIndex& index) {
-  const trace::Trace& t = index.trace();
-  sites_.reserve(64);
+  // One pass: a trace names few regions, each many times over, so the
+  // sorted table is searched (and grown) only when an event's region
+  // differs from the last one seen for its kind.
+  std::array<Site, kNumSiteKinds> last{};
+  std::array<bool, kNumSiteKinds> seen{};
   Site site;
-  for (const Event& e : t)
-    if (classify(e, site)) sites_.push_back(site);
-  std::sort(sites_.begin(), sites_.end(), site_less);
-  sites_.erase(std::unique(sites_.begin(), sites_.end()), sites_.end());
+  for (const Event& e : index.trace()) {
+    if (!classify(e, site)) continue;
+    const auto k = static_cast<std::size_t>(site.kind);
+    if (seen[k] && last[k] == site) continue;
+    seen[k] = true;
+    last[k] = site;
+    const auto it =
+        std::lower_bound(sites_.begin(), sites_.end(), site, site_less);
+    if (it == sites_.end() || !(*it == site)) sites_.insert(it, site);
+  }
   names_.reserve(sites_.size());
   for (const Site& s : sites_)
     names_.push_back(

@@ -136,93 +136,35 @@ std::optional<WhatIfSpec> parse_whatif_spec(std::string_view spec,
   return WhatIfSpec{std::string(site), value};
 }
 
-std::vector<std::size_t> site_member_events(const TraceIndex& idx,
-                                            const SiteRegistry& sites,
-                                            SiteId site) {
-  const Trace& t = idx.trace();
-  const analysis::Site s = sites.site(site);
-  std::vector<std::size_t> members;
-  switch (s.kind) {
-    case analysis::SiteKind::kStatement:
-      for (std::size_t i = 0; i < t.size(); ++i)
-        if (t[i].kind == EventKind::kStmtExit && t[i].id == s.id)
-          members.push_back(i);
-      break;
-    case analysis::SiteKind::kLoop:
-      for (const auto& span : idx.loops()) {
-        if (span.object != s.id || span.begin_index == kNone) continue;
-        const std::size_t last =
-            span.end_index == kNone ? t.size() - 1 : span.end_index;
-        for (std::size_t i = span.begin_index + 1; i <= last; ++i)
-          members.push_back(i);
-      }
-      std::sort(members.begin(), members.end());
-      members.erase(std::unique(members.begin(), members.end()),
-                    members.end());
-      break;
-    case analysis::SiteKind::kLock:
-      for (std::size_t p = 0; p < idx.num_procs(); ++p) {
-        bool holding = false;
-        for (const std::size_t i : idx.events_of(static_cast<ProcId>(p))) {
-          if (holding) members.push_back(i);
-          if (t[i].object == s.id) {
-            if (t[i].kind == EventKind::kLockAcquire) holding = true;
-            if (t[i].kind == EventKind::kLockRelease) holding = false;
-          }
-        }
-      }
-      std::sort(members.begin(), members.end());
-      break;
-    case analysis::SiteKind::kSync:
-      for (std::size_t i = 0; i < t.size(); ++i) {
-        const EventKind k = t[i].kind;
-        if ((k == EventKind::kAdvance || k == EventKind::kAwaitBegin ||
-             k == EventKind::kAwaitEnd) &&
-            t[i].object == s.id)
-          members.push_back(i);
-      }
-      break;
-    case analysis::SiteKind::kSemaphore:
-      for (std::size_t i = 0; i < t.size(); ++i) {
-        const EventKind k = t[i].kind;
-        if ((k == EventKind::kSemAcquire || k == EventKind::kSemRelease) &&
-            t[i].object == s.id)
-          members.push_back(i);
-      }
-      break;
-    case analysis::SiteKind::kBarrier:
-      for (std::size_t i = 0; i < t.size(); ++i) {
-        const EventKind k = t[i].kind;
-        if ((k == EventKind::kBarrierArrive ||
-             k == EventKind::kBarrierDepart) &&
-            t[i].object == s.id)
-          members.push_back(i);
-      }
-      break;
-  }
-  return members;
-}
-
 WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     : index_(&idx), sites_(&sites) {
   const Trace& t = idx.trace();
   const std::size_t n = t.size();
 
-  // -- classify anchors ----------------------------------------------------
+  // -- classify anchors, per-event local costs ----------------------------
   // Anchors: events with cross dependencies, dependency sources, and each
   // processor's chain endpoints.  Everything else is a plain chain-only
-  // event that folds into a gap.
-  std::vector<std::size_t> cross_off(n + 1, 0);
-  std::vector<std::size_t> cross_flat;
+  // event that folds into a gap.  d_i = t0[i] - max over predecessors of
+  // t0; baseline re-evaluation then reproduces the recovered times exactly
+  // (telescoping).  Cross edges are kept as (event, predecessor) pairs in
+  // trace order, which is also the order of the anchor slots they become.
+  std::vector<std::pair<std::size_t, std::size_t>> cross;
   std::vector<char> anchor(n, 0);
+  std::vector<Tick> event_d(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    cross_off[i] = cross_flat.size();
-    for_each_cross_pred(idx, i,
-                        [&](std::size_t p) { cross_flat.push_back(p); });
-    if (cross_flat.size() > cross_off[i] || is_dependency_source(t[i].kind))
-      anchor[i] = 1;
+    const std::size_t prev = idx.prev_on_proc(i);
+    bool any = prev != kNone;
+    Tick base = any ? t[prev].time : 0;
+    bool has_cross = false;
+    for_each_cross_pred(idx, i, [&](std::size_t p) {
+      cross.emplace_back(i, p);
+      if (!any || t[p].time > base) base = t[p].time;
+      any = true;
+      has_cross = true;
+    });
+    event_d[i] = t[i].time - base;
+    if (has_cross || is_dependency_source(t[i].kind)) anchor[i] = 1;
   }
-  cross_off[n] = cross_flat.size();
   for (std::size_t p = 0; p < idx.num_procs(); ++p) {
     const auto& evs = idx.events_of(static_cast<ProcId>(p));
     if (evs.empty()) continue;
@@ -230,96 +172,55 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     anchor[evs.back()] = 1;
   }
 
-  // -- per-event local costs ----------------------------------------------
-  // d_i = t0[i] - max over predecessors of t0; baseline re-evaluation then
-  // reproduces the recovered times exactly (telescoping).
-  std::vector<Tick> event_d(n, 0);
-  std::vector<char> has_pred(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    Tick base = 0;
-    bool any = false;
-    const std::size_t prev = idx.prev_on_proc(i);
-    if (prev != kNone) {
-      base = t[prev].time;
-      any = true;
-    }
-    for (std::size_t c = cross_off[i]; c < cross_off[i + 1]; ++c) {
-      const Tick pt = t[cross_flat[c]].time;
-      if (!any || pt > base) base = pt;
-      any = true;
-    }
-    event_d[i] = t[i].time - (any ? base : 0);
-    has_pred[i] = any ? 1 : 0;
-  }
-
   // -- anchor slots (trace order == topological order) ---------------------
+  // One trace-order pass numbers the anchors and chains each to the previous
+  // anchor on its processor; the gap before an anchor telescopes to
+  // t0[immediate predecessor] - t0[previous anchor].
+  const auto a_n =
+      static_cast<std::size_t>(std::count(anchor.begin(), anchor.end(), 1));
+  event_of_.reserve(a_n);
+  chain_.reserve(a_n);
+  gap_.reserve(a_n);
+  d_.reserve(a_n);
+  t0_.reserve(a_n);
+  proc_.reserve(a_n);
   std::vector<std::uint32_t> slot_of(n, knone);
+  std::vector<std::uint32_t> last_anchor(idx.num_procs(), knone);
   for (std::size_t i = 0; i < n; ++i) {
     if (!anchor[i]) continue;
-    slot_of[i] = static_cast<std::uint32_t>(event_of_.size());
+    const Event& e = t[i];
+    const auto s = static_cast<std::uint32_t>(event_of_.size());
+    const std::uint32_t q = last_anchor[e.proc];
+    const std::size_t prev = idx.prev_on_proc(i);
+    slot_of[i] = s;
     event_of_.push_back(i);
+    chain_.push_back(q);
+    gap_.push_back(q != knone && !anchor[prev] ? t[prev].time - t0_[q] : 0);
+    d_.push_back(event_d[i]);
+    t0_.push_back(e.time);
+    proc_.push_back(e.proc);
+    last_anchor[e.proc] = s;
   }
-  const std::size_t a_n = event_of_.size();
-  chain_.assign(a_n, knone);
-  gap_.assign(a_n, 0);
-  d_.assign(a_n, 0);
-  t0_.assign(a_n, 0);
   w0_.assign(a_n, 0);
-  proc_.assign(a_n, 0);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    const std::size_t i = event_of_[s];
-    d_[s] = event_d[i];
-    t0_[s] = t[i].time;
-    proc_[s] = t[i].proc;
-  }
 
-  // Chains and gaps: walk each processor's event list; the gap before an
-  // anchor telescopes to t0[immediate predecessor] - t0[previous anchor].
+  // Each plain event's owner is the next anchor on its processor.
   std::vector<std::uint32_t> owner_of(n, knone);
-  for (std::size_t p = 0; p < idx.num_procs(); ++p) {
-    const auto& evs = idx.events_of(static_cast<ProcId>(p));
-    std::uint32_t prev_anchor = knone;
-    std::size_t prev_event = kNone;
-    for (const std::size_t i : evs) {
-      if (anchor[i]) {
-        const std::uint32_t s = slot_of[i];
-        chain_[s] = prev_anchor;
-        gap_[s] = (prev_anchor != knone && prev_event != event_of_[prev_anchor])
-                      ? t[prev_event].time - t0_[prev_anchor]
-                      : 0;
-        prev_anchor = s;
-      } else {
-        // Owner = the next anchor on this processor; filled below in the
-        // reverse pass.
-      }
-      prev_event = i;
-    }
-    // Reverse pass: each plain event's owner is the next anchor downstream.
-    std::uint32_t next_anchor = knone;
-    for (std::size_t k = evs.size(); k-- > 0;) {
-      const std::size_t i = evs[k];
-      if (anchor[i])
-        next_anchor = slot_of[i];
-      else
-        owner_of[i] = next_anchor;
-    }
+  std::vector<std::uint32_t> next_anchor(idx.num_procs(), knone);
+  for (std::size_t i = n; i-- > 0;) {
+    if (anchor[i])
+      next_anchor[t[i].proc] = slot_of[i];
+    else
+      owner_of[i] = next_anchor[t[i].proc];
   }
 
   // -- cross predecessor / successor tables --------------------------------
   pred_off_.assign(a_n + 1, 0);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    const std::size_t i = event_of_[s];
-    pred_off_[s + 1] =
-        pred_off_[s] +
-        static_cast<std::uint32_t>(cross_off[i + 1] - cross_off[i]);
+  pred_.reserve(cross.size());
+  for (const auto& [i, p] : cross) {
+    ++pred_off_[slot_of[i] + 1];
+    pred_.push_back(slot_of[p]);
   }
-  pred_.assign(pred_off_[a_n], knone);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    const std::size_t i = event_of_[s];
-    std::uint32_t out = pred_off_[s];
-    for (std::size_t c = cross_off[i]; c < cross_off[i + 1]; ++c)
-      pred_[out++] = slot_of[cross_flat[c]];
-  }
+  for (std::size_t s = 0; s < a_n; ++s) pred_off_[s + 1] += pred_off_[s];
   std::vector<std::uint32_t> succ_count(a_n, 0);
   for (std::size_t s = 0; s < a_n; ++s) {
     if (chain_[s] != knone) ++succ_count[chain_[s]];
@@ -343,7 +244,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   // w = (t0 - d) - chain candidate: how long the chain stalled on a cross
   // dependency before this anchor.  Plain events wait 0 by construction.
   for (std::size_t s = 0; s < a_n; ++s) {
-    if (chain_[s] == knone || !has_pred[event_of_[s]]) continue;
+    if (chain_[s] == knone) continue;
     w0_[s] = (t0_[s] - d_[s]) - (t0_[chain_[s]] + gap_[s]);
   }
 
@@ -371,19 +272,106 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   for (std::size_t s = 0; s < a_n; ++s)
     if (proc_[s] < baseline_.waiting.size())
       baseline_.waiting[proc_[s]] += w0_[s];
+  const auto baseline_time = [&](std::uint32_t s) { return t0_[s]; };
   baseline_.critical_path = walk_critical_path(
-      [&](std::uint32_t s) { return t0_[s]; },
-      [](std::uint32_t) -> Tick { return 0; });
+      baseline_time, [&](std::uint32_t s) {
+        return chain_binds(s, baseline_time, [](std::uint32_t) -> Tick {
+          return 0;
+        });
+      });
 
   // -- site membership -----------------------------------------------------
+  // One trace-order pass files each event under every site it belongs to,
+  // so each site's lists come out in ascending trace order.  An event joins
+  //   its own stmt#/sync#/sem#/barrier# site by kind (for statements, the
+  //   exit, which owns the statement's duration),
+  //   every lock# site its processor holds — the event is filed before it
+  //   updates the held set, so an acquire is excluded (its waiting is not
+  //   scaled away) and a release included; a re-acquire changes nothing,
+  //   a release of an unheld lock likewise,
+  //   every loop# site with an episode (begin, end] around it, on any
+  //   processor (a truncated episode runs to the end of the trace).
   members_.resize(sites.size());
-  for (SiteId site = 0; site < sites.size(); ++site) {
+  const auto file = [&](SiteId site, std::size_t i) {
     SiteMembers& m = members_[static_cast<std::size_t>(site)];
-    for (const std::size_t i : site_member_events(idx, sites, site)) {
-      if (slot_of[i] != knone)
-        m.anchors.push_back(slot_of[i]);
-      else if (owner_of[i] != knone)
-        m.plain.emplace_back(owner_of[i], event_d[i]);
+    if (slot_of[i] != knone)
+      m.anchors.push_back(slot_of[i]);
+    else if (owner_of[i] != knone)
+      m.plain.emplace_back(owner_of[i], event_d[i]);
+  };
+
+  // Each loop site's episodes merged into disjoint [first, last] member
+  // ranges, flattened to open/close boundaries in index order.
+  struct Range {
+    SiteId site;
+    std::size_t first, last;
+  };
+  std::vector<Range> ranges;
+  for (const auto& span : idx.loops()) {
+    if (span.begin_index == kNone) continue;
+    const std::size_t last = span.end_index == kNone ? n - 1 : span.end_index;
+    const SiteId site = sites.find({analysis::SiteKind::kLoop, span.object});
+    if (span.begin_index < last && site != SiteRegistry::npos)
+      ranges.push_back({site, span.begin_index + 1, last});
+  }
+  std::sort(ranges.begin(), ranges.end(), [](const Range& a, const Range& b) {
+    return a.site != b.site ? a.site < b.site : a.first < b.first;
+  });
+  std::vector<std::pair<std::size_t, SiteId>> opens, closes;
+  for (std::size_t r = 0; r < ranges.size();) {
+    const Range& head = ranges[r];
+    std::size_t last = head.last;
+    for (++r; r < ranges.size() && ranges[r].site == head.site &&
+              ranges[r].first <= last + 1;
+         ++r)
+      last = std::max(last, ranges[r].last);
+    opens.emplace_back(head.first, head.site);
+    closes.emplace_back(last + 1, head.site);
+  }
+  std::sort(opens.begin(), opens.end());
+  std::sort(closes.begin(), closes.end());
+
+  std::vector<SiteId> in_loops;
+  std::vector<std::vector<SiteId>> held(idx.num_procs());
+  std::size_t next_open = 0, next_close = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (; next_close < closes.size() && closes[next_close].first == i;
+         ++next_close)
+      in_loops.erase(std::find(in_loops.begin(), in_loops.end(),
+                               closes[next_close].second));
+    for (; next_open < opens.size() && opens[next_open].first == i;
+         ++next_open)
+      in_loops.push_back(opens[next_open].second);
+    for (const SiteId site : in_loops) file(site, i);
+
+    const Event& e = t[i];
+    std::vector<SiteId>& locks = held[e.proc];
+    for (const SiteId site : locks) file(site, i);
+    switch (e.kind) {
+      case EventKind::kLockAcquire:
+      case EventKind::kLockRelease: {
+        const SiteId site = sites.site_of_event(e);
+        const auto it = std::find(locks.begin(), locks.end(), site);
+        if (e.kind == EventKind::kLockAcquire && it == locks.end())
+          locks.push_back(site);
+        if (e.kind == EventKind::kLockRelease && it != locks.end())
+          locks.erase(it);
+        break;
+      }
+      case EventKind::kStmtExit:
+      case EventKind::kAdvance:
+      case EventKind::kAwaitBegin:
+      case EventKind::kAwaitEnd:
+      case EventKind::kSemAcquire:
+      case EventKind::kSemRelease:
+      case EventKind::kBarrierArrive:
+      case EventKind::kBarrierDepart: {
+        const SiteId site = sites.site_of_event(e);
+        if (site != SiteRegistry::npos) file(site, i);
+        break;
+      }
+      default:
+        break;
     }
   }
 
@@ -391,8 +379,17 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
 }
 
 template <typename TimeFn, typename GapFn>
+bool WhatIfDag::chain_binds(std::uint32_t s, TimeFn&& time_of,
+                            GapFn&& gap_removal) const {
+  const Tick chain_t = time_of(chain_[s]) + gap_[s] - gap_removal(s);
+  for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
+    if (time_of(pred_[c]) > chain_t) return false;
+  return true;
+}
+
+template <typename TimeFn, typename BindsFn>
 Tick WhatIfDag::walk_critical_path(TimeFn&& time_of,
-                                   GapFn&& gap_removal) const {
+                                   BindsFn&& chain_binds_at) const {
   // End anchor: the latest per-processor chain endpoint; ties go to the
   // larger trace index (mirrors critical_path's argmax scan).
   std::uint32_t end = knone;
@@ -407,10 +404,10 @@ Tick WhatIfDag::walk_critical_path(TimeFn&& time_of,
 
   std::uint32_t cur = end;
   while (true) {
-    const std::uint32_t q = chain_[cur];
-    bool has_chain = q != knone;
-    Tick chain_t = 0;
-    if (has_chain) chain_t = time_of(q) + gap_[cur] - gap_removal(cur);
+    if (chain_[cur] != knone && chain_binds_at(cur)) {
+      cur = chain_[cur];
+      continue;
+    }
     std::uint32_t best = knone;
     Tick best_t = 0;
     for (std::uint32_t c = pred_off_[cur]; c < pred_off_[cur + 1]; ++c) {
@@ -420,12 +417,8 @@ Tick WhatIfDag::walk_critical_path(TimeFn&& time_of,
         best_t = pt;
       }
     }
-    if (has_chain && (best == knone || chain_t >= best_t))
-      cur = q;
-    else if (best != knone)
-      cur = best;
-    else
-      break;
+    if (best == knone) break;
+    cur = best;
   }
   return time_of(end) - time_of(cur);
 }
@@ -451,20 +444,24 @@ struct WhatIfEngine::Scratch {
   }
 };
 
-/// Scratch for one dense sweep block: lane-minor rows (slot s, lane l at
-/// index s * kLaneWidth + l), so the per-anchor chain and predecessor loads
-/// are shared by all lanes of a cache line.  The removal and gapdel arrays
-/// hold the all-zero invariant between blocks — evaluate_block re-zeroes
-/// exactly the member entries it seeded, never the whole arena.
+/// Scratch for one dense sweep block: lane-minor time rows (slot s, lane l
+/// at index s * kLaneWidth + l), so the per-anchor chain and predecessor
+/// loads are shared by all lanes of a cache line, plus one lane mask byte
+/// per anchor for each of: the anchor's own cost is scaled, its time row
+/// holds seeded gap removals, its chain binds (set by the sweep).  The
+/// seed masks are cleared at the start of every block, so blocks of any
+/// lane count can share one scratch.
 struct WhatIfEngine::BatchScratch {
-  std::vector<Tick> time, removal, gapdel, wait;
+  std::vector<Tick> time, wait;
+  std::vector<std::uint8_t> scaled, gapped, binds;
 
   void ensure(std::size_t anchors, std::size_t procs) {
     if (time.size() != anchors * kLaneWidth) {
       time.assign(anchors * kLaneWidth, 0);
-      removal.assign(anchors * kLaneWidth, 0);
-      gapdel.assign(anchors * kLaneWidth, 0);
+      binds.assign(anchors, 0);
     }
+    scaled.assign(anchors, 0);
+    gapped.assign(anchors, 0);
     wait.assign(procs * kLaneWidth, 0);
   }
 };
@@ -474,22 +471,32 @@ WhatIfEngine::~WhatIfEngine() = default;
 
 void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
                                   BatchScratch& sc, WhatIfResult* out) const {
+  static_assert(kLaneWidth <= 8, "lane masks are one byte per anchor");
   const WhatIfDag& g = *dag_;
   constexpr std::size_t kW = kLaneWidth;
   const std::size_t anchors = g.num_anchors();
   const std::size_t procs = g.baseline_.waiting.size();
   sc.ensure(anchors, procs);
 
-  // Seed every lane's removals: member anchors scale their own cost, plain
-  // members fold into the gap before their owning anchor — the same
-  // arithmetic the sparse path applies, just written into lane columns.
+  // Seed every lane: member anchors get their lane bit in `scaled` (the
+  // sweep applies removal_of to their own cost), plain members sum their
+  // removals into the owning anchor's time row — not computed yet, and
+  // read as the gap removal just before the sweep overwrites it.
+  std::int64_t pct[kW] = {};
   for (std::size_t l = 0; l < lanes; ++l) {
+    const auto bit = static_cast<std::uint8_t>(1u << l);
+    pct[l] = plans[l].pct;
     const WhatIfDag::SiteMembers& m =
         g.members_[static_cast<std::size_t>(plans[l].site)];
-    for (const auto& [owner, d] : m.plain)
-      sc.gapdel[owner * kW + l] += removal_of(d, plans[l].pct);
-    for (const std::uint32_t s : m.anchors)
-      sc.removal[s * kW + l] = removal_of(g.d_[s], plans[l].pct);
+    for (const auto& [owner, d] : m.plain) {
+      Tick& gde = sc.time[owner * kW + l];
+      if (!(sc.gapped[owner] & bit)) {
+        sc.gapped[owner] |= bit;
+        gde = 0;
+      }
+      gde += removal_of(d, pct[l]);
+    }
+    for (const std::uint32_t s : m.anchors) sc.scaled[s] |= bit;
   }
 
   // One dense forward pass in slot (= topological) order.  Anchors the
@@ -498,8 +505,7 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
   // shared fields are loaded once and applied row-wise to every lane (the
   // lane loops are branch-free over contiguous rows, so they vectorize).
   // All kW columns are computed even on a partial block: unseeded columns
-  // have zero removals and just reproduce the baseline, and ensure() /
-  // the end-of-block re-zeroing keep their state well defined.
+  // have clear mask bits and just reproduce the baseline.
   for (std::size_t s = 0; s < anchors; ++s) {
     const std::uint32_t q = g.chain_[s];
     const Tick gap = g.gap_[s];
@@ -509,10 +515,16 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
     const std::uint32_t p1 = g.pred_off_[s + 1];
     const trace::ProcId proc = g.proc_[s];
     Tick* row = &sc.time[s * kW];
-    const Tick* rem = &sc.removal[s * kW];
-    const Tick* gde = &sc.gapdel[s * kW];
+    Tick rem[kW] = {};
+    if (const unsigned mask = sc.scaled[s])
+      for (std::size_t l = 0; l < kW; ++l)
+        if ((mask >> l) & 1u) rem[l] = removal_of(d0, pct[l]);
     Tick base[kW];
     if (q != WhatIfDag::knone) {
+      Tick gde[kW] = {};
+      if (const unsigned mask = sc.gapped[s])
+        for (std::size_t l = 0; l < kW; ++l)
+          if ((mask >> l) & 1u) gde[l] = row[l];
       Tick chain_t[kW];
       const Tick* qrow = &sc.time[q * kW];
       for (std::size_t l = 0; l < kW; ++l) {
@@ -524,7 +536,12 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
         for (std::size_t l = 0; l < kW; ++l)
           if (prow[l] > base[l]) base[l] = prow[l];
       }
-      for (std::size_t l = 0; l < kW; ++l) row[l] = base[l] + d0 - rem[l];
+      unsigned binds = 0;
+      for (std::size_t l = 0; l < kW; ++l) {
+        row[l] = base[l] + d0 - rem[l];
+        binds |= (base[l] == chain_t[l] ? 1u : 0u) << l;
+      }
+      sc.binds[s] = static_cast<std::uint8_t>(binds);
       if (proc < procs) {
         Tick* wrow = &sc.wait[proc * kW];
         for (std::size_t l = 0; l < kW; ++l)
@@ -565,16 +582,10 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
       r.waiting[p] = g.baseline_.waiting[p] + sc.wait[p * kW + l];
     r.critical_path = g.walk_critical_path(
         [&](std::uint32_t s) { return sc.time[s * kW + l]; },
-        [&](std::uint32_t s) { return sc.gapdel[s * kW + l]; });
+        [&](std::uint32_t s) {
+          return ((static_cast<unsigned>(sc.binds[s]) >> l) & 1u) != 0;
+        });
     experiments_counter().add();
-  }
-
-  // Restore the all-zero invariant for the next block on this scratch.
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const WhatIfDag::SiteMembers& m =
-        g.members_[static_cast<std::size_t>(plans[l].site)];
-    for (const auto& [owner, d] : m.plain) sc.gapdel[owner * kW + l] = 0;
-    for (const std::uint32_t s : m.anchors) sc.removal[s * kW + l] = 0;
   }
 }
 
@@ -690,7 +701,9 @@ WhatIfResult WhatIfEngine::evaluate(const WhatIfPlan& plan,
   out.waiting.resize(procs);
   for (std::size_t p = 0; p < procs; ++p)
     out.waiting[p] = g.baseline_.waiting[p] + sc.wait[p];
-  out.critical_path = g.walk_critical_path(time_of, gap_removal);
+  out.critical_path = g.walk_critical_path(time_of, [&](std::uint32_t s) {
+    return g.chain_binds(s, time_of, gap_removal);
+  });
   return out;
 }
 
@@ -730,15 +743,19 @@ std::vector<WhatIfResult> WhatIfEngine::run_many(
     if (first_of.emplace(key, i).second) miss.push_back(i);
   }
 
-  // Lane-batched fan-out: consecutive kLaneWidth-wide blocks of the missed
-  // plans, each block one dense sweep.  The block partition depends only on
-  // the (serially built) miss order, and lanes write disjoint columns, so
-  // results are identical at any worker count.
+  // Lane-batched fan-out: the missed plans spread evenly over the fewest
+  // kLaneWidth-wide blocks (9 plans: 5 + 4, not 8 + 1, so no block walks
+  // many more critical paths than another), each block one dense sweep.
+  // The block partition depends only on the (serially built) miss order,
+  // and lanes write disjoint columns, so results are identical at any
+  // worker count.
   const std::size_t blocks = (miss.size() + kLaneWidth - 1) / kLaneWidth;
   std::vector<BatchScratch> scratch(pool.size());
   pool.parallel_for(blocks, [&](std::size_t worker, std::size_t b) {
-    const std::size_t begin = b * kLaneWidth;
-    const std::size_t lanes = std::min(kLaneWidth, miss.size() - begin);
+    const std::size_t share = miss.size() / blocks;
+    const std::size_t extra = miss.size() % blocks;
+    const std::size_t begin = b * share + std::min(b, extra);
+    const std::size_t lanes = share + (b < extra ? 1 : 0);
     WhatIfPlan lane_plans[kLaneWidth];
     WhatIfResult lane_out[kLaneWidth];
     for (std::size_t l = 0; l < lanes; ++l)

@@ -21,7 +21,9 @@
 // costs of one site's member events (d' = d - (d * pct) / 100, truncating
 // integer division applied per event) yields the virtual execution.
 //
-// Perf core.  The dependency DAG is built ONCE per trace (`WhatIfDag`),
+// Perf core.  The dependency DAG is built ONCE per trace (`WhatIfDag`), in
+// time linear in the trace: one pass files every site's member events, so
+// the per-site tables cost no per-site rescans or sorts.  It is
 // compressed to *anchors* — events that carry cross dependencies, feed
 // them, or bound a processor's chain.  Runs of plain chain-only events
 // between anchors collapse into gap sums, so an experiment evaluates by
@@ -29,17 +31,22 @@
 // only: a min-heap frontier pops anchors in trace (= topological) order and
 // pushes successors only when a time actually changed.  Small speedups
 // touch a small cone.  The tests hold it bit-identical to a dense oracle
-// that rewrites every event's cost and re-simulates the full trace
+// that rewrites every event's cost and re-simulates the full trace, with
+// its own per-site membership and dependency rules
 // (tests/whatif_oracle.hpp).
 //
-// Sweeps batch further: run_many evaluates distinct plans in lane blocks —
-// one dense forward pass over the anchor arrays computes kLaneWidth
-// experiments at once (lane-minor time rows), so the chain and
-// cross-predecessor loads are paid once per anchor, not once per
-// experiment.  Blocks fan out across a support::TaskPool with per-worker
-// scratch arenas and results are memoized per (site, pct) like
-// experiments::run_grid memoizes actual runs; results are bit-identical at
-// any thread count and identical between the sparse and batched paths.
+// Sweeps batch further: run_many spreads distinct plans evenly over the
+// fewest kLaneWidth-wide blocks, and one dense forward pass over the
+// anchor arrays computes a block's experiments at once (lane-minor time
+// rows), so the chain and cross-predecessor loads are paid once per
+// anchor, not once per experiment.  The time rows are the only per-lane
+// scratch: member anchors and seeded gap removals are one lane-mask byte
+// per anchor, and the sweep records a chain-binds mask byte that the
+// critical-path walk reads instead of re-deriving it.  Blocks fan out
+// across a support::TaskPool with per-worker scratch arenas and results
+// are memoized per (site, pct) like experiments::run_grid memoizes actual
+// runs; results are bit-identical at any thread count and identical
+// between the sparse and batched paths.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +70,9 @@ using trace::Tick;
 
 /// One virtual-speedup experiment: scale every member event of `site` by
 /// `pct` percent (pct in (0, 100]; 100 removes the site's cost entirely).
+/// Members: a statement's exits; every event inside an episode of a loop;
+/// every event after a lock's acquisition through its release, on the
+/// holding processor; the sync, semaphore or barrier events on an object.
 struct WhatIfPlan {
   SiteId site = 0;
   std::int64_t pct = 0;
@@ -95,26 +105,6 @@ struct WhatIfSpec {
 /// non-integer pct, pct outside (0, 100]).
 std::optional<WhatIfSpec> parse_whatif_spec(std::string_view spec,
                                             std::string* error);
-
-/// Member events of one site, ascending trace indices.  The single source
-/// of site-membership semantics, shared by the DAG builder and the test
-/// oracle:
-///   stmt#id    every kStmtExit carrying that statement id (the exit owns
-///              the statement's duration in the cost model),
-///   loop#obj   every event strictly inside a loop episode (begin, end] of
-///              that loop object (all processors; a truncated episode runs
-///              to the end of the trace),
-///   lock#obj   every event strictly after a kLockAcquire of that object
-///              through the matching kLockRelease inclusive, per processor
-///              (the acquire itself is excluded so its waiting time is not
-///              scaled away),
-///   sync#obj   every kAdvance / kAwaitBegin / kAwaitEnd on that object
-///              (scales synchronization processing cost, not waiting),
-///   sem#obj    every kSemAcquire / kSemRelease on that object,
-///   barrier#obj every kBarrierArrive / kBarrierDepart on that object.
-std::vector<std::size_t> site_member_events(const trace::TraceIndex& index,
-                                            const SiteRegistry& sites,
-                                            SiteId site);
 
 /// The per-trace dependency DAG, anchor-compressed, with per-site member
 /// tables and baseline metrics.  Built once; immutable afterwards.  Holds
@@ -150,12 +140,20 @@ class WhatIfDag {
 
   /// Critical-path walk over the anchor graph under an experiment's time
   /// view: `time_of(slot)` is the anchor's (possibly re-evaluated) time,
-  /// `gap_removal(slot)` the cost removed from the plain run before it.
-  /// The binding predecessor is the latest one; ties prefer the
-  /// same-processor chain, and among cross predecessors the earliest in
-  /// trace order.  Returns the path length in ticks.
+  /// `chain_binds(slot)` whether a chained anchor's same-processor chain
+  /// is at least as late as every cross predecessor.  The binding
+  /// predecessor is the latest one; ties prefer the same-processor chain,
+  /// and among cross predecessors the earliest in trace order.  Returns
+  /// the path length in ticks.
+  template <typename TimeFn, typename BindsFn>
+  Tick walk_critical_path(TimeFn&& time_of, BindsFn&& chain_binds) const;
+
+  /// The chain-binds predicate of chained anchor `s` computed from a time
+  /// view and `gap_removal(slot)`, the cost removed from the plain run
+  /// before an anchor.
   template <typename TimeFn, typename GapFn>
-  Tick walk_critical_path(TimeFn&& time_of, GapFn&& gap_removal) const;
+  bool chain_binds(std::uint32_t s, TimeFn&& time_of,
+                   GapFn&& gap_removal) const;
 
   const trace::TraceIndex* index_;
   const SiteRegistry* sites_;
@@ -204,11 +202,12 @@ class WhatIfEngine {
 
   /// A batch of experiments, memo-deduplicated then fanned out across
   /// `pool` with per-worker scratch arenas.  results[i] corresponds to
-  /// plans[i].  Distinct plans evaluate in lane-batched blocks: one dense
-  /// forward pass over the anchor arrays computes up to kLaneWidth
-  /// experiments at once (lane-minor time rows), amortizing the chain and
-  /// cross-predecessor traversal that dominates a single sparse evaluation.
-  /// Bit-identical to run() — both paths share the same arithmetic.
+  /// plans[i].  Distinct plans spread evenly over the fewest lane-batched
+  /// blocks: one dense forward pass over the anchor arrays computes up to
+  /// kLaneWidth experiments at once (lane-minor time rows), amortizing the
+  /// chain and cross-predecessor traversal that dominates a single sparse
+  /// evaluation.  Bit-identical to run() — both paths share the same
+  /// arithmetic.
   std::vector<WhatIfResult> run_many(const std::vector<WhatIfPlan>& plans,
                                      support::TaskPool& pool);
 

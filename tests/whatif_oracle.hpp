@@ -5,11 +5,13 @@
 // delta propagation, no memoization, no lane batching.  Slow by design;
 // WhatIfEngine::run and run_many must be bit-identical to it on every trace.
 //
-// The oracle derives each event's cross-processor predecessors itself, from
-// TraceIndex's public answers, so it does not borrow the dependency rules
-// of the engine it checks.
+// The oracle derives each event's cross-processor predecessors and each
+// site's member events itself, from TraceIndex's public answers, so it
+// borrows neither the dependency rules nor the membership pass of the
+// engine it checks.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -43,6 +45,89 @@ inline std::vector<std::size_t> oracle_cross_preds(
   if (preds.empty() && idx.fork_dep(i) != npos)
     preds.push_back(idx.fork_dep(i));
   return preds;
+}
+
+/// Member events of one site, ascending trace indices, defined per site:
+///   stmt#id    every kStmtExit carrying that statement id (the exit owns
+///              the statement's duration in the cost model),
+///   loop#obj   every event strictly inside a loop episode (begin, end] of
+///              that loop object (all processors; a truncated episode runs
+///              to the end of the trace),
+///   lock#obj   every event strictly after a kLockAcquire of that object
+///              through the matching kLockRelease inclusive, per processor
+///              (the acquire itself is excluded so its waiting time is not
+///              scaled away),
+///   sync#obj   every kAdvance / kAwaitBegin / kAwaitEnd on that object
+///              (scales synchronization processing cost, not waiting),
+///   sem#obj    every kSemAcquire / kSemRelease on that object,
+///   barrier#obj every kBarrierArrive / kBarrierDepart on that object.
+inline std::vector<std::size_t> site_member_events(
+    const trace::TraceIndex& idx, const SiteRegistry& sites, SiteId site) {
+  using trace::EventKind;
+  constexpr std::size_t kNone = trace::TraceIndex::npos;
+  const trace::Trace& t = idx.trace();
+  const analysis::Site s = sites.site(site);
+  std::vector<std::size_t> members;
+  switch (s.kind) {
+    case analysis::SiteKind::kStatement:
+      for (std::size_t i = 0; i < t.size(); ++i)
+        if (t[i].kind == EventKind::kStmtExit && t[i].id == s.id)
+          members.push_back(i);
+      break;
+    case analysis::SiteKind::kLoop:
+      for (const auto& span : idx.loops()) {
+        if (span.object != s.id || span.begin_index == kNone) continue;
+        const std::size_t last =
+            span.end_index == kNone ? t.size() - 1 : span.end_index;
+        for (std::size_t i = span.begin_index + 1; i <= last; ++i)
+          members.push_back(i);
+      }
+      std::sort(members.begin(), members.end());
+      members.erase(std::unique(members.begin(), members.end()),
+                    members.end());
+      break;
+    case analysis::SiteKind::kLock:
+      for (std::size_t p = 0; p < idx.num_procs(); ++p) {
+        bool holding = false;
+        for (const std::size_t i :
+             idx.events_of(static_cast<trace::ProcId>(p))) {
+          if (holding) members.push_back(i);
+          if (t[i].object == s.id) {
+            if (t[i].kind == EventKind::kLockAcquire) holding = true;
+            if (t[i].kind == EventKind::kLockRelease) holding = false;
+          }
+        }
+      }
+      std::sort(members.begin(), members.end());
+      break;
+    case analysis::SiteKind::kSync:
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        const EventKind k = t[i].kind;
+        if ((k == EventKind::kAdvance || k == EventKind::kAwaitBegin ||
+             k == EventKind::kAwaitEnd) &&
+            t[i].object == s.id)
+          members.push_back(i);
+      }
+      break;
+    case analysis::SiteKind::kSemaphore:
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        const EventKind k = t[i].kind;
+        if ((k == EventKind::kSemAcquire || k == EventKind::kSemRelease) &&
+            t[i].object == s.id)
+          members.push_back(i);
+      }
+      break;
+    case analysis::SiteKind::kBarrier:
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        const EventKind k = t[i].kind;
+        if ((k == EventKind::kBarrierArrive ||
+             k == EventKind::kBarrierDepart) &&
+            t[i].object == s.id)
+          members.push_back(i);
+      }
+      break;
+  }
+  return members;
 }
 
 /// The what-if result of `plan` by dense re-simulation of the whole trace.

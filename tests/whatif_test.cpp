@@ -1,11 +1,13 @@
 // What-if engine suite: the delta-propagation engine must be bit-identical
 // to the rewrite-and-resimulate oracle (whatif_oracle.hpp) on every trace
-// we can produce — the full Livermore kernel suite at 1/2/8 processors, and
-// fault-injected/repaired traces — at any TaskPool thread count, with the
-// (site, pct) memo transparent to results.  Also covers the shared site
-// registry and the --whatif spec parser.
+// we can produce — the full Livermore kernel suite at 1/2/8 processors, the
+// five synthesized workload families (locks, semaphores, barriers, nested
+// loops), and fault-injected/repaired traces — at any TaskPool thread
+// count, with the (site, pct) memo transparent to results.  Also covers the
+// shared site registry and the --whatif spec parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -15,6 +17,7 @@
 #include "analysis/sites.hpp"
 #include "analysis/waiting.hpp"
 #include "experiments/experiments.hpp"
+#include "experiments/grid.hpp"
 #include "loops/kernels.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
@@ -22,6 +25,7 @@
 #include "trace/index.hpp"
 #include "trace/repair.hpp"
 #include "whatif/whatif.hpp"
+#include "workload/workload.hpp"
 #include "whatif_oracle.hpp"
 
 namespace perturb {
@@ -43,6 +47,27 @@ Trace recovered_trace(int loop, std::uint32_t procs, std::int64_t n) {
       loop, n, setup, experiments::PlanKind::kFull);
   return run.event_based.approx;
 }
+
+/// The recovered trace of one synthesized-workload cell, through the
+/// run_scenario path the experiment grid runs.
+Trace recovered_workload_trace(workload::Family family, std::uint64_t seed,
+                               std::uint32_t procs) {
+  experiments::Scenario cell;
+  cell.plan = experiments::PlanKind::kFull;
+  cell.setup.machine.num_procs = procs;
+  workload::WorkloadSpec spec;
+  spec.family = family;
+  spec.seed = seed;
+  spec.params = workload::default_params(family);
+  spec.params.trip = 200;
+  cell.workload = spec;
+  return experiments::run_scenario(cell).event_based.approx;
+}
+
+constexpr workload::Family kAllFamilies[] = {
+    workload::Family::kPareto, workload::Family::kLognormal,
+    workload::Family::kContention, workload::Family::kIrregular,
+    workload::Family::kBursty};
 
 /// A deterministic batch of >= `count` (site, pct) plans cycling over every
 /// site of the registry and a spread of speedups.
@@ -70,6 +95,88 @@ void expect_engine_matches_oracle(const Trace& t,
     const WhatIfResult slow = whatif::whatif_oracle(index, sites, plan);
     ASSERT_EQ(fast, slow) << label << " site "
                           << sites.name(plan.site) << " pct " << plan.pct;
+  }
+}
+
+/// run() on one engine and run_many() on a fresh one, both against the
+/// oracle, over `plans`.
+void expect_run_and_run_many_match_oracle(const Trace& t,
+                                          const std::string& label,
+                                          const std::vector<WhatIfPlan>& plans,
+                                          std::size_t threads) {
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  const WhatIfDag dag(index, sites);
+  std::vector<WhatIfResult> slow;
+  for (const WhatIfPlan& plan : plans)
+    slow.push_back(whatif::whatif_oracle(index, sites, plan));
+  WhatIfEngine serial(dag);
+  for (std::size_t i = 0; i < plans.size(); ++i)
+    ASSERT_EQ(serial.run(plans[i]), slow[i])
+        << label << " run site " << sites.name(plans[i].site) << " pct "
+        << plans[i].pct;
+  support::TaskPool pool(threads);
+  WhatIfEngine batched(dag);
+  const std::vector<WhatIfResult> fast = batched.run_many(plans, pool);
+  for (std::size_t i = 0; i < plans.size(); ++i)
+    ASSERT_EQ(fast[i], slow[i])
+        << label << " run_many site " << sites.name(plans[i].site)
+        << " pct " << plans[i].pct;
+}
+
+/// The registry a trace should produce, computed straight from event
+/// kinds: every (kind, id) region an event names, sorted and unique.
+std::vector<analysis::Site> sites_named_by_events(const Trace& t) {
+  using analysis::SiteKind;
+  using trace::EventKind;
+  std::set<std::pair<SiteKind, std::uint32_t>> named;
+  for (const trace::Event& e : t) {
+    switch (e.kind) {
+      case EventKind::kStmtEnter:
+      case EventKind::kStmtExit:
+        if (e.id != 0) named.emplace(SiteKind::kStatement, e.id);
+        break;
+      case EventKind::kLoopBegin:
+      case EventKind::kLoopEnd:
+      case EventKind::kIterBegin:
+      case EventKind::kIterEnd:
+        named.emplace(SiteKind::kLoop, e.object);
+        break;
+      case EventKind::kLockAcquire:
+      case EventKind::kLockRelease:
+        named.emplace(SiteKind::kLock, e.object);
+        break;
+      case EventKind::kAdvance:
+      case EventKind::kAwaitBegin:
+      case EventKind::kAwaitEnd:
+        named.emplace(SiteKind::kSync, e.object);
+        break;
+      case EventKind::kSemAcquire:
+      case EventKind::kSemRelease:
+        named.emplace(SiteKind::kSemaphore, e.object);
+        break;
+      case EventKind::kBarrierArrive:
+      case EventKind::kBarrierDepart:
+        named.emplace(SiteKind::kBarrier, e.object);
+        break;
+      default:
+        break;
+    }
+  }
+  std::vector<analysis::Site> out;
+  for (const auto& [kind, id] : named) out.push_back({kind, id});
+  return out;
+}
+
+void expect_registry_matches_event_kinds(const Trace& t,
+                                         const std::string& label) {
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  const std::vector<analysis::Site> want = sites_named_by_events(t);
+  ASSERT_EQ(sites.size(), want.size()) << label;
+  for (analysis::SiteId s = 0; s < sites.size(); ++s) {
+    EXPECT_EQ(sites.site(s).kind, want[s].kind) << label << " site " << s;
+    EXPECT_EQ(sites.site(s).id, want[s].id) << label << " site " << s;
   }
 }
 
@@ -116,6 +223,47 @@ TEST(SiteRegistry, InternsAndParsesCanonicalNames) {
   EXPECT_FALSE(sites.parse("stmt5").has_value());
   EXPECT_EQ(sites.parse("stmt#4294967295").value_or(SiteRegistry::npos),
             SiteRegistry::npos);
+}
+
+TEST(SiteRegistry, EqualsSortedUniqueSitesNamedByEvents) {
+  for (const int loop : {3, 4, 17})
+    for (const std::uint32_t procs : {1u, 8u})
+      expect_registry_matches_event_kinds(
+          recovered_trace(loop, procs, 200),
+          "lfk" + std::to_string(loop) + " procs " + std::to_string(procs));
+  for (const workload::Family family : kAllFamilies)
+    for (const std::uint64_t seed : {1u, 2u})
+      expect_registry_matches_event_kinds(
+          recovered_workload_trace(family, seed, 8),
+          std::string(workload::family_name(family)) + ":" +
+              std::to_string(seed));
+
+  // A repaired fault-injected trace, plus statement events with id 0
+  // (unknown provenance): those name no site.
+  experiments::Setup setup;
+  const auto run = experiments::run_concurrent_experiment(
+      17, 200, setup, experiments::PlanKind::kFull);
+  Trace t = trace::repair(trace::inject_violation(
+                              run.measured,
+                              trace::ViolationKind::kDuplicateAdvance))
+                .repaired;
+  ASSERT_GT(t.size(), 0u);
+  const Tick end = t[t.size() - 1].time;
+  trace::Event anon;
+  anon.proc = 0;
+  anon.id = 0;
+  anon.time = end + 1;
+  anon.kind = trace::EventKind::kStmtEnter;
+  t.append(anon);
+  anon.time = end + 2;
+  anon.kind = trace::EventKind::kStmtExit;
+  t.append(anon);
+  expect_registry_matches_event_kinds(t, "repaired duplicate-advance");
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  EXPECT_EQ(sites.find({analysis::SiteKind::kStatement, 0}),
+            SiteRegistry::npos);
+  EXPECT_EQ(sites.site_of_event(anon), SiteRegistry::npos);
 }
 
 TEST(SiteRegistry, WaitingAndCriticalPathShareSiteNames) {
@@ -195,6 +343,72 @@ TEST(WhatIfEngine, MatchesReferenceOnFaultInjectedRepairedTraces) {
   expect_engine_matches_oracle(dropped, "dropped", 8);
   const Trace skewed = trace::skew_timestamps(run.measured, 40, 0.2, 7);
   expect_engine_matches_oracle(skewed, "skewed", 8);
+}
+
+TEST(WhatIfEngine, MatchesReferenceAcrossWorkloadFamilies) {
+  // Every synthesized family — contention's locks and semaphores,
+  // irregular's barriers and nested loops, bursty's interference — at 1, 2
+  // and 8 processors, every site at least once, via run and run_many.
+  for (const workload::Family family : kAllFamilies) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      for (const std::uint32_t procs : {1u, 2u, 8u}) {
+        const Trace t = recovered_workload_trace(family, seed, procs);
+        const TraceIndex index(t);
+        const SiteRegistry sites(index);
+        if (sites.size() == 0) continue;
+        expect_run_and_run_many_match_oracle(
+            t,
+            std::string(workload::family_name(family)) + ":" +
+                std::to_string(seed) + " procs " + std::to_string(procs),
+            make_plans(sites, std::max<std::size_t>(20, sites.size())), 2);
+      }
+    }
+  }
+}
+
+TEST(WhatIfEngine, RunManyReusesScratchAcrossUnevenBlocks) {
+  // 11 distinct plans split into blocks of 6 and 5; on one thread the same
+  // worker scratch serves both block sizes back to back.
+  const Trace t =
+      recovered_workload_trace(workload::Family::kContention, 1, 8);
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  std::vector<WhatIfPlan> plans;
+  for (std::size_t k = 0; k < 11; ++k)
+    plans.push_back({static_cast<analysis::SiteId>(k % sites.size()),
+                     static_cast<std::int64_t>(30 + k)});
+  expect_run_and_run_many_match_oracle(t, "contention:1 procs 8", plans, 1);
+}
+
+TEST(WhatIfEngine, MatchesReferenceWhenLoopEpisodesOverlap) {
+  // The same kernel run twice back to back, with the first run's LoopEnd
+  // lost from the capture: the first episode then runs to the end of the
+  // trace, over the second episode of the same loop, and events inside
+  // both are still members once.
+  for (const int loop : {3, 17}) {
+    const Trace once = recovered_trace(loop, 2, 100);
+    ASSERT_GT(once.size(), 0u);
+    const Tick shift = once[once.size() - 1].time + 1;
+    Trace twice(once.info());
+    bool lost = false;
+    for (const trace::Event& e : once) {
+      if (!lost && e.kind == trace::EventKind::kLoopEnd) {
+        lost = true;
+        continue;
+      }
+      twice.append(e);
+    }
+    ASSERT_TRUE(lost);
+    for (trace::Event e : once) {
+      e.time += shift;
+      twice.append(e);
+    }
+    const TraceIndex index(twice);
+    ASSERT_EQ(index.loops().size(), 2u);
+    ASSERT_EQ(index.loops()[0].end_index, TraceIndex::npos);
+    expect_engine_matches_oracle(twice,
+                                 "lfk" + std::to_string(loop) + " twice");
+  }
 }
 
 // ---- determinism, memoization, batching -----------------------------------

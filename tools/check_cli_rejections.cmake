@@ -9,6 +9,7 @@
 #   * --whatif percentages outside (0, 100] used to be accepted and produce
 #     nonsense negative or zero costs;
 #   * --whatif-rank 0 / negative used to be clamped to a huge unsigned value;
+#   * a --whatif spec without a colon must not run the analysis without it;
 #   * negative probe costs used to flow into the overhead model as credits.
 #
 # Invoked by ctest with -DANALYZE=<perturb-analyze>
@@ -42,6 +43,9 @@ if(NOT err MATCHES "unknown site")
   message(FATAL_ERROR "overflowing site number: unhelpful diagnosis: ${err}")
 endif()
 
+# A --whatif spec without a colon is malformed, not analyzed without it.
+expect_usage_error("${ANALYZE}" "${TRACE_FILE}" "--whatif=no-colon-here")
+
 # What-if percentages: contract is 0 < pct <= 100.
 expect_usage_error("${ANALYZE}" "${TRACE_FILE}" "--whatif=stmt#1:0")
 expect_usage_error("${ANALYZE}" "${TRACE_FILE}" "--whatif=stmt#1:101")
@@ -56,7 +60,8 @@ expect_usage_error("${ANALYZE}" "${TRACE_FILE}" --whatif-rank=-3)
 expect_usage_error("${ANALYZE}" "${TRACE_FILE}" --stmt-probe=-175)
 expect_usage_error("${ANALYZE}" "${TRACE_FILE}" --lock-acquire=-1)
 
-# Workload descriptors: unknown family, malformed seed, unknown knob.
+# Workload descriptors: unknown family (never a fallback to a Livermore run),
+# malformed seed, unknown knob.
 expect_usage_error("${EXPERIMENT}" --workload=zipf:7)
 expect_usage_error("${EXPERIMENT}" --workload=pareto:notaseed)
 expect_usage_error("${EXPERIMENT}" --workload=pareto:7:tailiness=2.0)
