@@ -75,9 +75,9 @@ CriticalPathStats critical_path(const TraceIndex& idx) {
   for (std::size_t i = 1; i < n; ++i)
     if (t[i].time >= t[cur].time) cur = i;
 
-  std::vector<std::size_t> reversed;
+  // The walk runs end to start: push, then reverse in place.
   while (cur != kNone) {
-    reversed.push_back(cur);
+    stats.path.push_back(cur);
     const std::size_t same = idx.prev_on_proc(cur);
     const std::size_t cross = cross_dep(idx, cur);
     std::size_t pred = same;
@@ -94,7 +94,7 @@ CriticalPathStats critical_path(const TraceIndex& idx) {
     }
     cur = pred;
   }
-  stats.path.assign(reversed.rbegin(), reversed.rend());
+  std::reverse(stats.path.begin(), stats.path.end());
   stats.length = t[stats.path.back()].time - t[stats.path.front()].time;
   return stats;
 }

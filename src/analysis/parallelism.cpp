@@ -19,7 +19,7 @@ ParallelismProfile parallelism_profile(const trace::TraceIndex& index,
   };
   std::vector<Span> spans(t.info().num_procs);
   for (std::size_t p = 0; p < spans.size() && p < index.num_procs(); ++p) {
-    const auto& evs = index.events_of(static_cast<trace::ProcId>(p));
+    const auto evs = index.events_of(static_cast<trace::ProcId>(p));
     if (evs.empty()) continue;
     Span& s = spans[p];
     s.seen = true;

@@ -239,7 +239,7 @@ class Reconstructor {
       progress = false;
       for (std::size_t p = 0; p < num_procs; ++p) {
         auto& pos = cursor[p];
-        const auto& evs = idx_.events_of(static_cast<trace::ProcId>(p));
+        const auto evs = idx_.events_of(static_cast<trace::ProcId>(p));
         while (pos < evs.size() && try_resolve(evs[pos])) {
           ++pos;
           --remaining;
@@ -275,7 +275,7 @@ class Reconstructor {
     std::vector<Cursor> cursors;
     cursors.reserve(idx_.num_procs());
     for (std::size_t p = 0; p < idx_.num_procs(); ++p) {
-      const auto& evs = idx_.events_of(static_cast<trace::ProcId>(p));
+      const auto evs = idx_.events_of(static_cast<trace::ProcId>(p));
       if (!evs.empty())
         cursors.push_back(
             {t_a_[evs[0]], evs[0], static_cast<trace::ProcId>(p), 0});
@@ -291,7 +291,7 @@ class Reconstructor {
       Event out = measured_[c.idx];
       out.time = c.t;
       approx.append(out);
-      const auto& evs = idx_.events_of(c.proc);
+      const auto evs = idx_.events_of(c.proc);
       if (++c.pos < evs.size()) {
         c.idx = evs[c.pos];
         c.t = t_a_[c.idx];

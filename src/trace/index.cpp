@@ -4,6 +4,7 @@
 
 #include "support/check.hpp"
 #include "support/parallel.hpp"
+#include "support/text.hpp"
 
 namespace perturb::trace {
 
@@ -15,6 +16,14 @@ const std::vector<std::size_t>& empty_index_list() {
 }
 
 }  // namespace
+
+void TraceIndex::require_indexable(std::size_t events) {
+  PERTURB_CHECK_MSG(
+      events < kMaxEvents,
+      support::strf("a trace of %zu events is too long to index (the limit "
+                    "is 2^32 - 2 events)",
+                    events));
+}
 
 TraceIndex::TraceIndex(const Trace& trace) : trace_(&trace) {
   build(nullptr);
@@ -35,10 +44,8 @@ TraceIndex::TraceIndex(const Trace& trace, support::TaskPool& pool)
 void TraceIndex::build(support::TaskPool* pool) {
   const Trace& trace = *trace_;
   const std::size_t n = trace.size();
-  prev_on_proc_.assign(n, npos);
-  fork_dep_.assign(n, npos);
-  lock_dep_.assign(n, npos);
-  sem_ordinal_.assign(n, npos);
+  require_indexable(n);
+  prev_on_proc_.resize(n);
 
   std::vector<std::pair<SyncKey, std::size_t>> advance_entries;
   std::vector<std::pair<AwaitKey, std::size_t>> await_entries;
@@ -53,12 +60,13 @@ void TraceIndex::build(support::TaskPool* pool) {
     proc_events_.resize(counts.size());
     for (std::size_t p = 0; p < counts.size(); ++p)
       proc_events_[p].reserve(counts[p]);
-    std::vector<std::size_t> last(counts.size(), npos);
+    std::vector<std::uint32_t> last(counts.size(), kNone32);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t p = trace[i].proc;
+      const auto i32 = static_cast<std::uint32_t>(i);
       prev_on_proc_[i] = last[p];
-      last[p] = i;
-      proc_events_[p].push_back(i);
+      last[p] = i32;
+      proc_events_[p].push_back(i32);
     }
   };
 
@@ -87,7 +95,7 @@ void TraceIndex::build(support::TaskPool* pool) {
         if (joined_loop.size() <= e.proc) joined_loop.resize(e.proc + 1u, 0);
         if (joined_loop[e.proc] != open_loop + 1) {
           joined_loop[e.proc] = open_loop + 1;
-          fork_dep_[i] = loops_[open_loop].begin_index;
+          set_entry(fork_dep_, n, i, loops_[open_loop].begin_index);
         }
       }
 
@@ -101,14 +109,14 @@ void TraceIndex::build(support::TaskPool* pool) {
           break;
         case EventKind::kLockAcquire: {
           const auto lr = last_release.find(e.object);
-          if (lr != last_release.end()) lock_dep_[i] = lr->second;
+          if (lr != last_release.end()) set_entry(lock_dep_, n, i, lr->second);
           break;
         }
         case EventKind::kLockRelease:
           last_release[e.object] = i;
           break;
         case EventKind::kSemAcquire:
-          sem_ordinal_[i] = sem_acquire_count[e.object]++;
+          set_entry(sem_ordinal_, n, i, sem_acquire_count[e.object]++);
           break;
         case EventKind::kSemRelease:
           sem_releases_[e.object].push_back(i);
@@ -225,8 +233,8 @@ void TraceIndex::finish_tables(
   }
 }
 
-const std::vector<std::size_t>& TraceIndex::events_of(ProcId proc) const {
-  if (proc >= proc_events_.size()) return empty_index_list();
+std::span<const std::uint32_t> TraceIndex::events_of(ProcId proc) const {
+  if (proc >= proc_events_.size()) return {};
   return proc_events_[proc];
 }
 
@@ -265,23 +273,26 @@ const TraceIndex::BarrierEpisode* TraceIndex::barrier_episode(
 }
 
 // Per-event transition of build()'s two scans (chains + structure), with the
-// scan locals held as members so the state survives between chunks.
+// scan locals held as members so the state survives between chunks.  A lazy
+// table grows with the trace once allocated; its first entry allocates it
+// over the events appended so far (event i included).
 void IncrementalTraceIndex::append(const Event& e) {
   TraceIndex& x = index_;
   const std::size_t i = x.prev_on_proc_.size();
+  TraceIndex::require_indexable(i + 1);
   constexpr std::size_t npos = TraceIndex::npos;
-  x.prev_on_proc_.push_back(npos);
-  x.fork_dep_.push_back(npos);
-  x.lock_dep_.push_back(npos);
-  x.sem_ordinal_.push_back(npos);
+  constexpr std::uint32_t kNone32 = TraceIndex::kNone32;
+  for (auto* table : {&x.fork_dep_, &x.lock_dep_, &x.sem_ordinal_})
+    if (!table->empty()) table->push_back(kNone32);
 
   // Per-processor chain.
   const std::size_t p = e.proc;
-  if (last_on_proc_.size() <= p) last_on_proc_.resize(p + 1u, npos);
+  const auto i32 = static_cast<std::uint32_t>(i);
+  if (last_on_proc_.size() <= p) last_on_proc_.resize(p + 1u, kNone32);
   if (x.proc_events_.size() <= p) x.proc_events_.resize(p + 1u);
-  x.prev_on_proc_[i] = last_on_proc_[p];
-  last_on_proc_[p] = i;
-  x.proc_events_[p].push_back(i);
+  x.prev_on_proc_.push_back(last_on_proc_[p]);
+  last_on_proc_[p] = i32;
+  x.proc_events_[p].push_back(i32);
 
   // Fork tracking: inside a parallel-loop episode, a processor's first
   // event depends on the loop's spawn, not on that processor's previous
@@ -298,7 +309,8 @@ void IncrementalTraceIndex::append(const Event& e) {
     if (joined_loop_.size() <= e.proc) joined_loop_.resize(e.proc + 1u, 0);
     if (joined_loop_[e.proc] != open_loop_ + 1) {
       joined_loop_[e.proc] = open_loop_ + 1;
-      x.fork_dep_[i] = x.loops_[open_loop_].begin_index;
+      TraceIndex::set_entry(x.fork_dep_, i + 1, i,
+                            x.loops_[open_loop_].begin_index);
     }
   }
 
@@ -312,14 +324,16 @@ void IncrementalTraceIndex::append(const Event& e) {
       break;
     case EventKind::kLockAcquire: {
       const auto lr = last_release_.find(e.object);
-      if (lr != last_release_.end()) x.lock_dep_[i] = lr->second;
+      if (lr != last_release_.end())
+        TraceIndex::set_entry(x.lock_dep_, i + 1, i, lr->second);
       break;
     }
     case EventKind::kLockRelease:
       last_release_[e.object] = i;
       break;
     case EventKind::kSemAcquire:
-      x.sem_ordinal_[i] = sem_acquire_count_[e.object]++;
+      TraceIndex::set_entry(x.sem_ordinal_, i + 1, i,
+                            sem_acquire_count_[e.object]++);
       break;
     case EventKind::kSemRelease:
       x.sem_releases_[e.object].push_back(i);

@@ -22,11 +22,21 @@
 // records structure, so conservative, liberal, validation, and post-analysis
 // passes can all share it.  It holds a reference to the trace: the trace
 // must outlive the index and must not be mutated while indexed.
+//
+// Footprint.  The per-event tables (same-processor chain, fork, lock and
+// semaphore dependencies, per-processor event lists) store 32-bit trace
+// indices, 4 B per event each, and the accessors widen them back to size_t
+// (npos maps both ways).  A trace therefore holds fewer than 2^32 - 1
+// events; both builders reject a longer one with a CheckError.  The fork,
+// lock and semaphore tables are allocated only when the trace has an entry
+// for them (a loop-spawned first event, a handed-off lock acquisition, a
+// semaphore acquisition); until then they stay empty and answer npos.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -44,6 +54,14 @@ class TraceIndex {
  public:
   /// "No event": returned by every lookup that can miss.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Exclusive upper bound on a trace's length: per-event tables hold
+  /// 32-bit indices and reserve the all-ones value for npos.
+  static constexpr std::size_t kMaxEvents = 0xffffffffu;
+
+  /// Throws CheckError (one line) when `events` >= kMaxEvents.  Both
+  /// builders call it before they index an event.
+  static void require_indexable(std::size_t events);
 
   /// Ascending trace indices of one key's occurrences (a view into the
   /// index's flat sorted tables).
@@ -104,19 +122,20 @@ class TraceIndex {
   /// may differ from trace().info().num_procs on degraded traces).
   std::size_t num_procs() const noexcept { return proc_events_.size(); }
 
-  /// Trace indices of `proc`'s events, in trace order (empty list for a
-  /// processor with no events).
-  const std::vector<std::size_t>& events_of(ProcId proc) const;
+  /// Trace indices of `proc`'s events, in trace order (empty for a
+  /// processor with no events).  A read-only view of 32-bit indices into
+  /// the index's own table.
+  std::span<const std::uint32_t> events_of(ProcId proc) const;
 
   /// Same-processor predecessor of event i, npos for a processor's first.
-  std::size_t prev_on_proc(std::size_t i) const { return prev_on_proc_[i]; }
+  std::size_t prev_on_proc(std::size_t i) const {
+    return widen(prev_on_proc_[i]);
+  }
 
   /// The LoopBegin event i depends on when i is a processor's first event
   /// inside a parallel-loop episode (the processor was idle through the
   /// master's sequential section); npos otherwise.
-  std::size_t fork_dep(std::size_t i) const {
-    return fork_dep_.empty() ? npos : fork_dep_[i];
-  }
+  std::size_t fork_dep(std::size_t i) const { return lookup(fork_dep_, i); }
 
   // ---- loop / iteration spans ------------------------------------------
 
@@ -171,16 +190,14 @@ class TraceIndex {
   /// For a LockAcquire event i: the object's latest LockRelease before i
   /// (the hand-off source), npos when the lock was free.  npos for
   /// non-acquire events.
-  std::size_t lock_dep(std::size_t i) const {
-    return lock_dep_.empty() ? npos : lock_dep_[i];
-  }
+  std::size_t lock_dep(std::size_t i) const { return lookup(lock_dep_, i); }
 
   // ---- counting semaphores ----------------------------------------------
 
   /// For a SemAcquire event i: its 0-based per-object acquire ordinal
   /// (the k-th P() on that semaphore in trace order).  npos otherwise.
   std::size_t sem_ordinal(std::size_t i) const {
-    return sem_ordinal_.empty() ? npos : sem_ordinal_[i];
+    return lookup(sem_ordinal_, i);
   }
 
   /// SemRelease indices for `object`, in trace order.
@@ -204,6 +221,27 @@ class TraceIndex {
 
   void build(support::TaskPool* pool);
 
+  /// 32-bit table entry <-> size_t answer; the all-ones entry is npos.
+  static constexpr std::uint32_t kNone32 = 0xffffffffu;
+  static std::size_t widen(std::uint32_t v) noexcept {
+    return v == kNone32 ? npos : v;
+  }
+  static std::uint32_t narrow(std::size_t v) noexcept {
+    return v == npos ? kNone32 : static_cast<std::uint32_t>(v);
+  }
+  /// Entry i of a lazily allocated table; npos while it is unallocated.
+  static std::size_t lookup(const std::vector<std::uint32_t>& table,
+                            std::size_t i) {
+    return table.empty() ? npos : widen(table[i]);
+  }
+  /// Sets entry i of a lazily allocated table of `size` entries, allocating
+  /// it (all npos) on its first entry.
+  static void set_entry(std::vector<std::uint32_t>& table, std::size_t size,
+                        std::size_t i, std::size_t value) {
+    if (table.empty()) table.assign(size, kNone32);
+    table[i] = narrow(value);
+  }
+
   struct AwaitKey {
     SyncKey key;
     ProcId proc = 0;
@@ -223,11 +261,11 @@ class TraceIndex {
                      support::TaskPool* pool);
 
   const Trace* trace_;
-  std::vector<std::size_t> prev_on_proc_;
-  std::vector<std::size_t> fork_dep_;
-  std::vector<std::size_t> lock_dep_;
-  std::vector<std::size_t> sem_ordinal_;
-  std::vector<std::vector<std::size_t>> proc_events_;
+  std::vector<std::uint32_t> prev_on_proc_;
+  std::vector<std::uint32_t> fork_dep_;     ///< lazy: empty = all npos
+  std::vector<std::uint32_t> lock_dep_;     ///< lazy
+  std::vector<std::uint32_t> sem_ordinal_;  ///< lazy
+  std::vector<std::vector<std::uint32_t>> proc_events_;
   std::vector<LoopSpan> loops_;
   std::vector<IterSpan> iters_;
 
@@ -249,8 +287,10 @@ class TraceIndex {
 /// chunks arrive, then seal() into the immutable index.  Each append runs
 /// the same per-event transition as build()'s two scans; seal() runs the
 /// same table finishers — so the sealed index is identical (every query
-/// answers the same) to a TraceIndex built over the complete trace in one
-/// shot.
+/// answers the same, and the lazy tables are allocated exactly when the
+/// batch build allocates them) to a TraceIndex built over the complete
+/// trace in one shot.  append() throws CheckError once the appended events
+/// would reach TraceIndex::kMaxEvents.
 class IncrementalTraceIndex {
  public:
   IncrementalTraceIndex() = default;
@@ -274,7 +314,7 @@ class IncrementalTraceIndex {
   std::vector<std::pair<TraceIndex::AwaitKey, std::size_t>> await_entries_;
 
   // Scan state carried between appends (the locals of build()'s two scans).
-  std::vector<std::size_t> last_on_proc_;
+  std::vector<std::uint32_t> last_on_proc_;
   std::unordered_map<ObjectId, std::size_t> last_release_;
   std::unordered_map<ObjectId, std::size_t> sem_acquire_count_;
   std::vector<std::size_t> open_iter_;    // by proc; npos = none open

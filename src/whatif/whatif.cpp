@@ -140,96 +140,97 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     : index_(&idx), sites_(&sites) {
   const Trace& t = idx.trace();
   const std::size_t n = t.size();
+  const std::size_t procs = idx.num_procs();
 
-  // -- classify anchors, per-event local costs ----------------------------
+  // -- classify anchors ----------------------------------------------------
   // Anchors: events with cross dependencies, dependency sources, and each
   // processor's chain endpoints.  Everything else is a plain chain-only
-  // event that folds into a gap.  d_i = t0[i] - max over predecessors of
-  // t0; baseline re-evaluation then reproduces the recovered times exactly
-  // (telescoping).  Cross edges are kept as (event, predecessor) pairs in
-  // trace order, which is also the order of the anchor slots they become.
-  std::vector<std::pair<std::size_t, std::size_t>> cross;
-  std::vector<char> anchor(n, 0);
-  std::vector<Tick> event_d(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t prev = idx.prev_on_proc(i);
-    bool any = prev != kNone;
-    Tick base = any ? t[prev].time : 0;
-    bool has_cross = false;
-    for_each_cross_pred(idx, i, [&](std::size_t p) {
-      cross.emplace_back(i, p);
-      if (!any || t[p].time > base) base = t[p].time;
-      any = true;
-      has_cross = true;
-    });
-    event_d[i] = t[i].time - base;
-    if (has_cross || is_dependency_source(t[i].kind)) anchor[i] = 1;
+  // event that folds into a gap.  This pass marks the anchors and counts
+  // them and their cross edges, so every per-anchor array is allocated
+  // once, at its final size.
+  std::vector<std::size_t> last_event(procs, kNone);
+  for (std::size_t p = 0; p < procs; ++p) {
+    const auto evs = idx.events_of(static_cast<ProcId>(p));
+    if (!evs.empty()) last_event[p] = evs.back();
   }
-  for (std::size_t p = 0; p < idx.num_procs(); ++p) {
-    const auto& evs = idx.events_of(static_cast<ProcId>(p));
-    if (evs.empty()) continue;
-    anchor[evs.front()] = 1;
-    anchor[evs.back()] = 1;
+  slot_or_owner_.assign(n, knone);
+  std::size_t a_n = 0, e_n = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t preds = 0;
+    for_each_cross_pred(idx, i, [&](std::size_t) { ++preds; });
+    const Event& e = t[i];
+    if (preds > 0 || is_dependency_source(e.kind) ||
+        idx.prev_on_proc(i) == kNone || last_event[e.proc] == i) {
+      slot_or_owner_[i] = 0;  // an anchor; numbered below
+      ++a_n;
+      e_n += preds;
+    }
   }
 
-  // -- anchor slots (trace order == topological order) ---------------------
-  // One trace-order pass numbers the anchors and chains each to the previous
-  // anchor on its processor; the gap before an anchor telescopes to
-  // t0[immediate predecessor] - t0[previous anchor].
-  const auto a_n =
-      static_cast<std::size_t>(std::count(anchor.begin(), anchor.end(), 1));
+  // -- anchor slots, local costs, cross edges (trace order) ----------------
+  // Trace order is topological, so an anchor's predecessors all have slots
+  // when it is numbered and its cross edges go straight into the CSR.
+  // d_i = t0[i] - max over predecessors of t0 (t0[i] with none), and the
+  // gap before an anchor telescopes to t0[immediate predecessor] -
+  // t0[previous anchor]; baseline re-evaluation then reproduces the
+  // recovered times exactly.
   event_of_.reserve(a_n);
   chain_.reserve(a_n);
   gap_.reserve(a_n);
   d_.reserve(a_n);
   t0_.reserve(a_n);
   proc_.reserve(a_n);
-  std::vector<std::uint32_t> slot_of(n, knone);
-  std::vector<std::uint32_t> last_anchor(idx.num_procs(), knone);
+  pred_off_.reserve(a_n + 1);
+  pred_.reserve(e_n);
+  pred_off_.push_back(0);
+  std::vector<std::uint32_t> last_anchor(procs, knone);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!anchor[i]) continue;
+    if (slot_or_owner_[i] == knone) continue;
     const Event& e = t[i];
     const auto s = static_cast<std::uint32_t>(event_of_.size());
     const std::uint32_t q = last_anchor[e.proc];
     const std::size_t prev = idx.prev_on_proc(i);
-    slot_of[i] = s;
-    event_of_.push_back(i);
+    bool any = prev != kNone;
+    Tick base = any ? t[prev].time : 0;
+    for_each_cross_pred(idx, i, [&](std::size_t p) {
+      pred_.push_back(slot_or_owner_[p]);
+      if (!any || t[p].time > base) base = t[p].time;
+      any = true;
+    });
+    pred_off_.push_back(static_cast<std::uint32_t>(pred_.size()));
+    slot_or_owner_[i] = s;
+    event_of_.push_back(static_cast<std::uint32_t>(i));
     chain_.push_back(q);
-    gap_.push_back(q != knone && !anchor[prev] ? t[prev].time - t0_[q] : 0);
-    d_.push_back(event_d[i]);
+    // Plain events still read knone here: their owners come next.
+    gap_.push_back(q != knone && slot_or_owner_[prev] == knone
+                       ? t[prev].time - t0_[q]
+                       : 0);
+    d_.push_back(e.time - base);
     t0_.push_back(e.time);
     proc_.push_back(e.proc);
     last_anchor[e.proc] = s;
   }
   w0_.assign(a_n, 0);
 
-  // Each plain event's owner is the next anchor on its processor.
-  std::vector<std::uint32_t> owner_of(n, knone);
-  std::vector<std::uint32_t> next_anchor(idx.num_procs(), knone);
+  // Each plain event's owner is the next anchor on its processor; every
+  // processor's last event is an anchor, so each plain event has one.
+  std::fill(last_anchor.begin(), last_anchor.end(), knone);
   for (std::size_t i = n; i-- > 0;) {
-    if (anchor[i])
-      next_anchor[t[i].proc] = slot_of[i];
+    std::uint32_t& v = slot_or_owner_[i];
+    if (v == knone)
+      v = last_anchor[t[i].proc];
     else
-      owner_of[i] = next_anchor[t[i].proc];
+      last_anchor[t[i].proc] = v;
   }
 
-  // -- cross predecessor / successor tables --------------------------------
-  pred_off_.assign(a_n + 1, 0);
-  pred_.reserve(cross.size());
-  for (const auto& [i, p] : cross) {
-    ++pred_off_[slot_of[i] + 1];
-    pred_.push_back(slot_of[p]);
-  }
-  for (std::size_t s = 0; s < a_n; ++s) pred_off_[s + 1] += pred_off_[s];
-  std::vector<std::uint32_t> succ_count(a_n, 0);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    if (chain_[s] != knone) ++succ_count[chain_[s]];
-    for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
-      ++succ_count[pred_[c]];
-  }
+  // -- successor table -----------------------------------------------------
   succ_off_.assign(a_n + 1, 0);
-  for (std::size_t s = 0; s < a_n; ++s)
-    succ_off_[s + 1] = succ_off_[s] + succ_count[s];
+  for (std::size_t s = 0; s < a_n; ++s) {
+    if (chain_[s] != knone) ++succ_off_[chain_[s] + 1];
+    for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
+      ++succ_off_[pred_[c] + 1];
+  }
+  for (std::size_t s = 0; s < a_n; ++s) succ_off_[s + 1] += succ_off_[s];
   succ_.assign(succ_off_[a_n], knone);
   std::vector<std::uint32_t> fill(succ_off_.begin(), succ_off_.end() - 1);
   for (std::size_t s = 0; s < a_n; ++s) {
@@ -249,13 +250,13 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   }
 
   // -- per-processor endpoints and baseline metrics ------------------------
-  first_slot_.assign(idx.num_procs(), knone);
-  last_slot_.assign(idx.num_procs(), knone);
-  for (std::size_t p = 0; p < idx.num_procs(); ++p) {
-    const auto& evs = idx.events_of(static_cast<ProcId>(p));
+  first_slot_.assign(procs, knone);
+  last_slot_.assign(procs, knone);
+  for (std::size_t p = 0; p < procs; ++p) {
+    const auto evs = idx.events_of(static_cast<ProcId>(p));
     if (evs.empty()) continue;
-    first_slot_[p] = slot_of[evs.front()];
-    last_slot_[p] = slot_of[evs.back()];
+    first_slot_[p] = slot_or_owner_[evs.front()];
+    last_slot_[p] = slot_or_owner_[evs.back()];
   }
   Tick lo = 0, hi = 0;
   bool seen = false;
@@ -281,81 +282,41 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
       });
 
   // -- site membership -----------------------------------------------------
-  // One trace-order pass files each event under every site it belongs to,
-  // so each site's lists come out in ascending trace order.  An event joins
-  //   its own stmt#/sync#/sem#/barrier# site by kind (for statements, the
-  //   exit, which owns the statement's duration),
-  //   every lock# site its processor holds — the event is filed before it
-  //   updates the held set, so an acquire is excluded (its waiting is not
-  //   scaled away) and a release included; a re-acquire changes nothing,
-  //   a release of an unheld lock likewise,
-  //   every loop# site with an episode (begin, end] around it, on any
-  //   processor (a truncated episode runs to the end of the trace).
+  // One trace-order pass files the per-event sites and the lock sites.
+  //   A statement, sync, semaphore or barrier site lists its own events by
+  //   kind (for statements, the exit, which owns the statement's duration).
+  //   A lock site holds every event after an acquisition through the
+  //   release, on the holding processor: the acquire is excluded (its
+  //   waiting is not scaled away) and the release included; a re-acquire
+  //   of a held lock changes nothing, a release of an unheld one likewise,
+  //   and a lock still held at the end runs to the processor's last event.
+  //   A range is filed when its lock is acquired, so a site's ranges come
+  //   out in trace order and seeding walks the trace forward once.
   members_.resize(sites.size());
-  const auto file = [&](SiteId site, std::size_t i) {
-    SiteMembers& m = members_[static_cast<std::size_t>(site)];
-    if (slot_of[i] != knone)
-      m.anchors.push_back(slot_of[i]);
-    else if (owner_of[i] != knone)
-      m.plain.emplace_back(owner_of[i], event_d[i]);
-  };
-
-  // Each loop site's episodes merged into disjoint [first, last] member
-  // ranges, flattened to open/close boundaries in index order.
-  struct Range {
-    SiteId site;
-    std::size_t first, last;
-  };
-  std::vector<Range> ranges;
-  for (const auto& span : idx.loops()) {
-    if (span.begin_index == kNone) continue;
-    const std::size_t last = span.end_index == kNone ? n - 1 : span.end_index;
-    const SiteId site = sites.find({analysis::SiteKind::kLoop, span.object});
-    if (span.begin_index < last && site != SiteRegistry::npos)
-      ranges.push_back({site, span.begin_index + 1, last});
-  }
-  std::sort(ranges.begin(), ranges.end(), [](const Range& a, const Range& b) {
-    return a.site != b.site ? a.site < b.site : a.first < b.first;
-  });
-  std::vector<std::pair<std::size_t, SiteId>> opens, closes;
-  for (std::size_t r = 0; r < ranges.size();) {
-    const Range& head = ranges[r];
-    std::size_t last = head.last;
-    for (++r; r < ranges.size() && ranges[r].site == head.site &&
-              ranges[r].first <= last + 1;
-         ++r)
-      last = std::max(last, ranges[r].last);
-    opens.emplace_back(head.first, head.site);
-    closes.emplace_back(last + 1, head.site);
-  }
-  std::sort(opens.begin(), opens.end());
-  std::sort(closes.begin(), closes.end());
-
-  std::vector<SiteId> in_loops;
-  std::vector<std::vector<SiteId>> held(idx.num_procs());
-  std::size_t next_open = 0, next_close = 0;
+  std::vector<std::uint32_t> pos(procs, 0);  // events seen, per processor
+  // Per processor: (site, its open range in members_[site].held).
+  std::vector<std::vector<std::pair<SiteId, std::size_t>>> open_ranges(procs);
   for (std::size_t i = 0; i < n; ++i) {
-    for (; next_close < closes.size() && closes[next_close].first == i;
-         ++next_close)
-      in_loops.erase(std::find(in_loops.begin(), in_loops.end(),
-                               closes[next_close].second));
-    for (; next_open < opens.size() && opens[next_open].first == i;
-         ++next_open)
-      in_loops.push_back(opens[next_open].second);
-    for (const SiteId site : in_loops) file(site, i);
-
     const Event& e = t[i];
-    std::vector<SiteId>& locks = held[e.proc];
-    for (const SiteId site : locks) file(site, i);
+    const std::uint32_t k = pos[e.proc]++;
     switch (e.kind) {
       case EventKind::kLockAcquire:
       case EventKind::kLockRelease: {
         const SiteId site = sites.site_of_event(e);
-        const auto it = std::find(locks.begin(), locks.end(), site);
-        if (e.kind == EventKind::kLockAcquire && it == locks.end())
-          locks.push_back(site);
-        if (e.kind == EventKind::kLockRelease && it != locks.end())
-          locks.erase(it);
+        if (site == SiteRegistry::npos) break;
+        std::vector<HeldRange>& ranges =
+            members_[static_cast<std::size_t>(site)].held;
+        auto& holding = open_ranges[e.proc];
+        const auto it =
+            std::find_if(holding.begin(), holding.end(),
+                         [&](const auto& h) { return h.first == site; });
+        if (e.kind == EventKind::kLockAcquire && it == holding.end()) {
+          holding.emplace_back(site, ranges.size());
+          ranges.push_back({e.proc, k + 1, k});  // empty until closed
+        } else if (e.kind == EventKind::kLockRelease && it != holding.end()) {
+          ranges[it->second].last = k;
+          holding.erase(it);
+        }
         break;
       }
       case EventKind::kStmtExit:
@@ -367,15 +328,75 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
       case EventKind::kBarrierArrive:
       case EventKind::kBarrierDepart: {
         const SiteId site = sites.site_of_event(e);
-        if (site != SiteRegistry::npos) file(site, i);
+        if (site != SiteRegistry::npos)
+          members_[static_cast<std::size_t>(site)].events.push_back(
+              static_cast<std::uint32_t>(i));
         break;
       }
       default:
         break;
     }
   }
+  // Ranges still open run to their processor's last event (and stay empty
+  // when the acquire is that event).
+  for (std::size_t p = 0; p < procs; ++p)
+    for (const auto& [site, r] : open_ranges[p])
+      members_[static_cast<std::size_t>(site)].held[r].last = pos[p] - 1;
+  for (SiteMembers& m : members_) m.events.shrink_to_fit();
+
+  // A loop site: every event, on any processor, inside one of its episodes
+  // (begin, end] (a truncated episode runs to the end of the trace), as
+  // the episodes merged into disjoint ascending ranges.
+  struct Episode {
+    SiteId site;
+    std::size_t first, last;
+  };
+  std::vector<Episode> episodes;
+  for (const auto& span : idx.loops()) {
+    if (span.begin_index == kNone) continue;
+    const std::size_t last = span.end_index == kNone ? n - 1 : span.end_index;
+    const SiteId site = sites.find({analysis::SiteKind::kLoop, span.object});
+    if (span.begin_index < last && site != SiteRegistry::npos)
+      episodes.push_back({site, span.begin_index + 1, last});
+  }
+  std::sort(episodes.begin(), episodes.end(),
+            [](const Episode& a, const Episode& b) {
+              return a.site != b.site ? a.site < b.site : a.first < b.first;
+            });
+  for (std::size_t r = 0; r < episodes.size();) {
+    const Episode& head = episodes[r];
+    std::size_t last = head.last;
+    for (++r; r < episodes.size() && episodes[r].site == head.site &&
+              episodes[r].first <= last + 1;
+         ++r)
+      last = std::max(last, episodes[r].last);
+    members_[static_cast<std::size_t>(head.site)].loop_ranges.push_back(
+        {static_cast<std::uint32_t>(head.first),
+         static_cast<std::uint32_t>(last)});
+  }
 
   edges_gauge().record_max(static_cast<std::int64_t>(edges_));
+}
+
+template <typename AnchorFn, typename PlainFn>
+void WhatIfDag::for_each_member(SiteId site, AnchorFn&& on_anchor,
+                                PlainFn&& on_plain) const {
+  const Trace& t = index_->trace();
+  const auto visit = [&](std::size_t i) {
+    const std::uint32_t v = slot_or_owner_[i];
+    if (event_of_[v] == i)
+      on_anchor(v);
+    else
+      on_plain(v, t[i].time - t[index_->prev_on_proc(i)].time);
+  };
+  const SiteMembers& m = members_[static_cast<std::size_t>(site)];
+  for (const std::uint32_t i : m.events) visit(i);
+  for (const TraceRange& r : m.loop_ranges)
+    for (std::size_t i = r.first; i <= r.last; ++i) visit(i);
+  for (const HeldRange& h : m.held) {
+    const auto evs = index_->events_of(h.proc);
+    for (std::size_t k = h.first; k <= h.last; ++k) visit(evs[k]);
+  }
 }
 
 template <typename TimeFn, typename GapFn>
@@ -444,39 +465,44 @@ struct WhatIfEngine::Scratch {
   }
 };
 
-/// Scratch for one dense sweep block: lane-minor time rows (slot s, lane l
-/// at index s * kLaneWidth + l), so the per-anchor chain and predecessor
-/// loads are shared by all lanes of a cache line, plus one lane mask byte
-/// per anchor for each of: the anchor's own cost is scaled, its time row
-/// holds seeded gap removals, its chain binds (set by the sweep).  The
-/// seed masks are cleared at the start of every block, so blocks of any
-/// lane count can share one scratch.
+/// Scratch for one dense sweep block: lane-minor time rows of the block's
+/// row width W (slot s, lane l at index s * W + l), so the per-anchor chain
+/// and predecessor loads are shared by all lanes of a cache line, plus one
+/// lane mask byte per anchor for each of: the anchor's own cost is scaled,
+/// its time row holds seeded gap removals, its chain binds (set by the
+/// sweep).  The seed masks are cleared at the start of every block, so
+/// blocks of any lane count and row width can share one scratch.
 struct WhatIfEngine::BatchScratch {
   std::vector<Tick> time, wait;
   std::vector<std::uint8_t> scaled, gapped, binds;
 
-  void ensure(std::size_t anchors, std::size_t procs) {
-    if (time.size() != anchors * kLaneWidth) {
-      time.assign(anchors * kLaneWidth, 0);
+  void ensure(std::size_t anchors, std::size_t procs, std::size_t width) {
+    const std::size_t cells = anchors * width;
+    if (time.size() != cells) {
+      // Free narrower rows before allocating wider ones, so the two never
+      // coexist.
+      if (time.capacity() < cells) time = {};
+      time.assign(cells, 0);
       binds.assign(anchors, 0);
     }
     scaled.assign(anchors, 0);
     gapped.assign(anchors, 0);
-    wait.assign(procs * kLaneWidth, 0);
+    wait.assign(procs * width, 0);
   }
 };
 
 WhatIfEngine::WhatIfEngine(const WhatIfDag& dag) : dag_(&dag) {}
 WhatIfEngine::~WhatIfEngine() = default;
 
+template <std::size_t kW>
 void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
                                   BatchScratch& sc, WhatIfResult* out) const {
-  static_assert(kLaneWidth <= 8, "lane masks are one byte per anchor");
+  static_assert(kW <= kLaneWidth && kLaneWidth <= 8,
+                "lane masks are one byte per anchor");
   const WhatIfDag& g = *dag_;
-  constexpr std::size_t kW = kLaneWidth;
   const std::size_t anchors = g.num_anchors();
   const std::size_t procs = g.baseline_.waiting.size();
-  sc.ensure(anchors, procs);
+  sc.ensure(anchors, procs, kW);
 
   // Seed every lane: member anchors get their lane bit in `scaled` (the
   // sweep applies removal_of to their own cost), plain members sum their
@@ -486,17 +512,16 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
   for (std::size_t l = 0; l < lanes; ++l) {
     const auto bit = static_cast<std::uint8_t>(1u << l);
     pct[l] = plans[l].pct;
-    const WhatIfDag::SiteMembers& m =
-        g.members_[static_cast<std::size_t>(plans[l].site)];
-    for (const auto& [owner, d] : m.plain) {
-      Tick& gde = sc.time[owner * kW + l];
-      if (!(sc.gapped[owner] & bit)) {
-        sc.gapped[owner] |= bit;
-        gde = 0;
-      }
-      gde += removal_of(d, pct[l]);
-    }
-    for (const std::uint32_t s : m.anchors) sc.scaled[s] |= bit;
+    g.for_each_member(
+        plans[l].site, [&](std::uint32_t s) { sc.scaled[s] |= bit; },
+        [&](std::uint32_t owner, Tick d) {
+          Tick& gde = sc.time[owner * kW + l];
+          if (!(sc.gapped[owner] & bit)) {
+            sc.gapped[owner] |= bit;
+            gde = 0;
+          }
+          gde += removal_of(d, pct[l]);
+        });
   }
 
   // One dense forward pass in slot (= topological) order.  Anchors the
@@ -624,25 +649,25 @@ WhatIfResult WhatIfEngine::evaluate(const WhatIfPlan& plan,
   // Seed: member anchors scale their own cost; plain members fold their
   // removals into the gap before their owning anchor.  Zero removals change
   // nothing and are skipped, keeping the frontier cone tight.
-  const WhatIfDag::SiteMembers& m =
-      g.members_[static_cast<std::size_t>(plan.site)];
-  for (const auto& [owner, d] : m.plain) {
-    const Tick r = removal_of(d, plan.pct);
-    if (r == 0) continue;
-    if (sc.gapdel_ep[owner] != ep) {
-      sc.gapdel_ep[owner] = ep;
-      sc.gapdel[owner] = 0;
-    }
-    sc.gapdel[owner] += r;
-    push(owner);
-  }
-  for (const std::uint32_t s : m.anchors) {
-    const Tick r = removal_of(g.d_[s], plan.pct);
-    if (r == 0) continue;
-    sc.removal_ep[s] = ep;
-    sc.removal[s] = r;
-    push(s);
-  }
+  g.for_each_member(
+      plan.site,
+      [&](std::uint32_t s) {
+        const Tick r = removal_of(g.d_[s], plan.pct);
+        if (r == 0) return;
+        sc.removal_ep[s] = ep;
+        sc.removal[s] = r;
+        push(s);
+      },
+      [&](std::uint32_t owner, Tick d) {
+        const Tick r = removal_of(d, plan.pct);
+        if (r == 0) return;
+        if (sc.gapdel_ep[owner] != ep) {
+          sc.gapdel_ep[owner] = ep;
+          sc.gapdel[owner] = 0;
+        }
+        sc.gapdel[owner] += r;
+        push(owner);
+      });
 
   // Forward delta propagation: anchors pop in ascending slot (= trace =
   // topological) order, so every predecessor is final when read.
@@ -745,7 +770,8 @@ std::vector<WhatIfResult> WhatIfEngine::run_many(
 
   // Lane-batched fan-out: the missed plans spread evenly over the fewest
   // kLaneWidth-wide blocks (9 plans: 5 + 4, not 8 + 1, so no block walks
-  // many more critical paths than another), each block one dense sweep.
+  // many more critical paths than another), each block one dense sweep
+  // whose time rows are 4 wide when it has at most 4 lanes.
   // The block partition depends only on the (serially built) miss order,
   // and lanes write disjoint columns, so results are identical at any
   // worker count.
@@ -760,7 +786,11 @@ std::vector<WhatIfResult> WhatIfEngine::run_many(
     WhatIfResult lane_out[kLaneWidth];
     for (std::size_t l = 0; l < lanes; ++l)
       lane_plans[l] = plans[miss[begin + l]];
-    evaluate_block(lane_plans, lanes, scratch[worker], lane_out);
+    if (lanes <= 4)
+      evaluate_block<4>(lane_plans, lanes, scratch[worker], lane_out);
+    else
+      evaluate_block<kLaneWidth>(lane_plans, lanes, scratch[worker],
+                                 lane_out);
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t i = miss[begin + l];
       results[i] = std::move(lane_out[l]);

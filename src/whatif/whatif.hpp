@@ -22,27 +22,37 @@
 // integer division applied per event) yields the virtual execution.
 //
 // Perf core.  The dependency DAG is built ONCE per trace (`WhatIfDag`), in
-// time linear in the trace: one pass files every site's member events, so
-// the per-site tables cost no per-site rescans or sorts.  It is
-// compressed to *anchors* — events that carry cross dependencies, feed
-// them, or bound a processor's chain.  Runs of plain chain-only events
-// between anchors collapse into gap sums, so an experiment evaluates by
-// forward delta propagation over the anchor graph from the perturbed site
-// only: a min-heap frontier pops anchors in trace (= topological) order and
-// pushes successors only when a time actually changed.  Small speedups
-// touch a small cone.  The tests hold it bit-identical to a dense oracle
-// that rewrites every event's cost and re-simulates the full trace, with
-// its own per-site membership and dependency rules
-// (tests/whatif_oracle.hpp).
+// time linear in the trace.  It is compressed to *anchors* — events that
+// carry cross dependencies, feed them, or bound a processor's chain.  Runs
+// of plain chain-only events between anchors collapse into gap sums, so an
+// experiment evaluates by forward delta propagation over the anchor graph
+// from the perturbed site only: a min-heap frontier pops anchors in trace
+// (= topological) order and pushes successors only when a time actually
+// changed.  Small speedups touch a small cone.  The tests hold it
+// bit-identical to a dense oracle that rewrites every event's cost and
+// re-simulates the full trace, with its own per-site membership and
+// dependency rules (tests/whatif_oracle.hpp).
+//
+// Footprint.  Site membership is kept in the form the trace already has:
+// a loop site as its merged episode ranges of trace indices, a lock site as
+// its held ranges of positions in TraceIndex::events_of(proc), and the
+// other sites as 32-bit lists of trace indices.  One 32-bit "slot or owner"
+// entry per event maps a member to its anchor slot (anchors) or to the next
+// anchor on its processor (plain events, whose cost t[i] - t[prev_on_proc]
+// is derived when an experiment is seeded), so no per-member cost is
+// stored.  Slots and trace indices are 32-bit, which TraceIndex's own
+// 2^32 - 2 event limit guarantees.
 //
 // Sweeps batch further: run_many spreads distinct plans evenly over the
 // fewest kLaneWidth-wide blocks, and one dense forward pass over the
 // anchor arrays computes a block's experiments at once (lane-minor time
 // rows), so the chain and cross-predecessor loads are paid once per
-// anchor, not once per experiment.  The time rows are the only per-lane
-// scratch: member anchors and seeded gap removals are one lane-mask byte
-// per anchor, and the sweep records a chain-binds mask byte that the
-// critical-path walk reads instead of re-deriving it.  Blocks fan out
+// anchor, not once per experiment.  A block's rows are only as wide as it
+// needs: 4 lanes for a block of at most 4 plans, kLaneWidth otherwise.
+// The time rows are the only per-lane scratch: member anchors and seeded
+// gap removals are one lane-mask byte per anchor, and the sweep records a
+// chain-binds mask byte that the critical-path walk reads instead of
+// re-deriving it.  Blocks fan out
 // across a support::TaskPool with per-worker scratch arenas and results
 // are memoized per (site, pct) like experiments::run_grid memoizes actual
 // runs; results are bit-identical at any thread count and identical
@@ -130,13 +140,28 @@ class WhatIfDag {
  private:
   friend class WhatIfEngine;
 
-  struct SiteMembers {
-    /// Member anchors (slots): their own cost is scaled.
-    std::vector<std::uint32_t> anchors;
-    /// Plain members folded into the gap before their owning anchor:
-    /// (owner slot, local cost d).
-    std::vector<std::pair<std::uint32_t, Tick>> plain;
+  /// Inclusive range [first, last] of trace indices (a loop site).
+  struct TraceRange {
+    std::uint32_t first = 0, last = 0;
   };
+  /// Inclusive range [first, last] of positions in events_of(proc) (a lock
+  /// site while `proc` holds it).
+  struct HeldRange {
+    trace::ProcId proc = 0;
+    std::uint32_t first = 0, last = 0;
+  };
+  /// One site's member events; a site uses exactly one of the three forms.
+  struct SiteMembers {
+    std::vector<std::uint32_t> events;    ///< stmt/sync/sem/barrier, ascending
+    std::vector<TraceRange> loop_ranges;  ///< disjoint, ascending
+    std::vector<HeldRange> held;
+  };
+
+  /// Calls on_anchor(slot) for every member anchor of `site` and
+  /// on_plain(owner slot, local cost d) for every plain member.
+  template <typename AnchorFn, typename PlainFn>
+  void for_each_member(SiteId site, AnchorFn&& on_anchor,
+                       PlainFn&& on_plain) const;
 
   /// Critical-path walk over the anchor graph under an experiment's time
   /// view: `time_of(slot)` is the anchor's (possibly re-evaluated) time,
@@ -158,14 +183,19 @@ class WhatIfDag {
   const trace::TraceIndex* index_;
   const SiteRegistry* sites_;
 
+  /// Per event: its slot for an anchor, else the next anchor on its
+  /// processor (the owner whose gap it folds into).  An event is an anchor
+  /// iff event_of_[slot_or_owner_[i]] == i.
+  std::vector<std::uint32_t> slot_or_owner_;
+
   // Per anchor, slot order == ascending trace index (a topological order).
-  std::vector<std::size_t> event_of_;   ///< slot -> trace index
-  std::vector<std::uint32_t> chain_;    ///< previous same-proc anchor, knone
-  std::vector<Tick> gap_;               ///< plain-run cost between chain_ and
-                                        ///< this anchor (telescoped t0 sum)
-  std::vector<Tick> d_;                 ///< the anchor's own local cost
-  std::vector<Tick> t0_;                ///< baseline (recovered) time
-  std::vector<Tick> w0_;                ///< baseline waiting at this anchor
+  std::vector<std::uint32_t> event_of_;  ///< slot -> trace index
+  std::vector<std::uint32_t> chain_;     ///< previous same-proc anchor, knone
+  std::vector<Tick> gap_;                ///< plain-run cost between chain_ and
+                                         ///< this anchor (telescoped t0 sum)
+  std::vector<Tick> d_;                  ///< the anchor's own local cost
+  std::vector<Tick> t0_;                 ///< baseline (recovered) time
+  std::vector<Tick> w0_;                 ///< baseline waiting at this anchor
   std::vector<trace::ProcId> proc_;
   std::vector<std::uint32_t> pred_off_;  ///< cross preds, flat [off, off+1)
   std::vector<std::uint32_t> pred_;
@@ -211,7 +241,8 @@ class WhatIfEngine {
   std::vector<WhatIfResult> run_many(const std::vector<WhatIfPlan>& plans,
                                      support::TaskPool& pool);
 
-  /// Experiments evaluated together by one dense sweep block in run_many.
+  /// Most experiments evaluated together by one dense sweep block in
+  /// run_many (a block of at most 4 uses 4-wide rows).
   static constexpr std::size_t kLaneWidth = 8;
 
   /// Sweeps every site at the same speedup and returns the `top_n` regions
@@ -226,8 +257,10 @@ class WhatIfEngine {
   struct BatchScratch;
 
   WhatIfResult evaluate(const WhatIfPlan& plan, Scratch& scratch) const;
-  /// Dense lane-batched evaluation: `lanes` (<= kLaneWidth) plans in one
-  /// forward pass over every anchor, writing out[0..lanes).
+  /// Dense lane-batched evaluation: `lanes` (<= kW <= kLaneWidth) plans in
+  /// one forward pass over every anchor with kW-wide time rows, writing
+  /// out[0..lanes).
+  template <std::size_t kW>
   void evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
                       BatchScratch& scratch, WhatIfResult* out) const;
   void validate(const WhatIfPlan& plan) const;

@@ -1,0 +1,175 @@
+// Memory footprint of the analyst job's index and what-if stages, in heap
+// bytes per event, pinned on two ~100k-event recovered traces.
+//
+// This binary replaces the global operator new / delete with versions that
+// count live and peak requested bytes, so it must stay an executable of its
+// own.  The counts are of requested bytes, not of pages, so they do not
+// depend on the allocator or the host.  The index and DAG counts repeat
+// exactly; the ranking's peak can only be lower when one worker happens to
+// run both of its sweep blocks.
+//
+// Each bound is the value measured when it was set plus 10%.  Bytes per
+// event, before the per-event index tables became 32-bit and lazily
+// allocated and what-if membership became ranges, then after:
+//
+//                                lfk3 n=14300     contention:7:trip=4000
+//                                before  after    before  after
+//   TraceIndex(approx) kept       53.24  25.24     41.27  17.27
+//   WhatIfDag kept                46.54  22.88     56.36  35.50
+//   rank(50, pool(4), 10) peak    19.18  10.03     61.91  47.13
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "analysis/sites.hpp"
+#include "experiments/experiments.hpp"
+#include "experiments/grid.hpp"
+#include "support/parallel.hpp"
+#include "trace/index.hpp"
+#include "whatif/whatif.hpp"
+#include "workload/workload.hpp"
+
+namespace {
+
+std::atomic<std::size_t> g_live{0};
+std::atomic<std::size_t> g_peak{0};
+
+// Each block carries its size in a header as wide as the default new
+// alignment, so the pointer handed out keeps that alignment.
+constexpr std::size_t kHeader = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
+void* counted_alloc(std::size_t n) {
+  void* base = std::malloc(n + kHeader);
+  if (base == nullptr) throw std::bad_alloc();
+  std::memcpy(base, &n, sizeof n);
+  const std::size_t live =
+      g_live.fetch_add(n, std::memory_order_relaxed) + n;
+  std::size_t peak = g_peak.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
+  return static_cast<char*>(base) + kHeader;
+}
+
+void* counted_alloc_nothrow(std::size_t n) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  char* base = static_cast<char*>(p) - kHeader;
+  std::size_t n = 0;
+  std::memcpy(&n, base, sizeof n);
+  g_live.fetch_sub(n, std::memory_order_relaxed);
+  std::free(base);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+
+namespace perturb {
+namespace {
+
+std::size_t live_bytes() { return g_live.load(std::memory_order_relaxed); }
+
+/// Restarts the peak at the current live count; returns that count.
+std::size_t reset_peak() {
+  const std::size_t live = live_bytes();
+  g_peak.store(live, std::memory_order_relaxed);
+  return live;
+}
+
+struct Footprint {
+  double index = 0.0;      ///< bytes kept by TraceIndex(approx), per event
+  double dag = 0.0;        ///< bytes kept by WhatIfDag, per event
+  double rank_peak = 0.0;  ///< peak bytes during rank(50, pool(4), 10)
+};
+
+/// The analyst job's index, DAG and ranking calls on `approx`, as the
+/// benchmark's offline job makes them.
+Footprint measure(const trace::Trace& approx, const std::string& label) {
+  const auto n = static_cast<double>(approx.size());
+  Footprint f;
+  std::size_t before = live_bytes();
+  const auto index = std::make_unique<trace::TraceIndex>(approx);
+  f.index = static_cast<double>(live_bytes() - before) / n;
+  const analysis::SiteRegistry sites(*index);
+  before = live_bytes();
+  const auto dag = std::make_unique<whatif::WhatIfDag>(*index, sites);
+  f.dag = static_cast<double>(live_bytes() - before) / n;
+  {
+    whatif::WhatIfEngine engine(*dag);
+    support::TaskPool pool(4);
+    before = reset_peak();
+    const auto ranking = engine.rank(50, pool, 10);
+    f.rank_peak = static_cast<double>(g_peak.load() - before) / n;
+    EXPECT_FALSE(ranking.empty()) << label;
+  }
+  std::printf(
+      "%s: %zu events, %zu anchors; bytes/event: index %.2f, dag %.2f, "
+      "rank peak %.2f\n",
+      label.c_str(), approx.size(), dag->num_anchors(), f.index, f.dag,
+      f.rank_peak);
+  return f;
+}
+
+TEST(Footprint, Livermore3AnalystJobBytesPerEvent) {
+  experiments::Setup setup;
+  const trace::Trace approx =
+      experiments::run_concurrent_experiment(3, 14300, setup,
+                                             experiments::PlanKind::kFull)
+          .event_based.approx;
+  ASSERT_GT(approx.size(), 90000u);
+  const Footprint f = measure(approx, "lfk3 n=14300");
+  EXPECT_LE(f.index, 27.8);
+  EXPECT_LE(f.dag, 25.2);
+  EXPECT_LE(f.rank_peak, 11.1);
+}
+
+TEST(Footprint, ContentionAnalystJobBytesPerEvent) {
+  std::string error;
+  const auto spec =
+      workload::parse_workload("contention:7:trip=4000,crit=1,sem=0", &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  experiments::Scenario cell;
+  cell.plan = experiments::PlanKind::kFull;
+  cell.workload = *spec;
+  const trace::Trace approx =
+      experiments::run_scenario(cell).event_based.approx;
+  ASSERT_GT(approx.size(), 90000u);
+  const Footprint f = measure(approx, "contention:7:trip=4000,crit=1,sem=0");
+  EXPECT_LE(f.index, 19.0);
+  EXPECT_LE(f.dag, 39.1);
+  EXPECT_LE(f.rank_peak, 51.9);
+}
+
+}  // namespace
+}  // namespace perturb

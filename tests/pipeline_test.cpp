@@ -23,6 +23,7 @@
 #include "core/likely.hpp"
 #include "core/pipeline.hpp"
 #include "core/timebased.hpp"
+#include "support/check.hpp"
 #include "experiments/experiments.hpp"
 #include "trace/faults.hpp"
 #include "trace/index.hpp"
@@ -312,6 +313,19 @@ TEST(TraceIndexContract, PerProcessorChainsPartitionTheTrace) {
     }
   }
   EXPECT_EQ(covered, f.measured.size());
+}
+
+// The per-event tables hold 32-bit indices with the all-ones value as npos,
+// so both builders refuse a trace of 2^32 - 1 events or more (checked on
+// the size alone: no such trace is built).
+TEST(TraceIndexContract, RejectsTracesTooLongForThirtyTwoBitTables) {
+  using trace::TraceIndex;
+  EXPECT_NO_THROW(TraceIndex::require_indexable(0));
+  EXPECT_NO_THROW(TraceIndex::require_indexable(TraceIndex::kMaxEvents - 1));
+  EXPECT_THROW(TraceIndex::require_indexable(TraceIndex::kMaxEvents),
+               CheckError);
+  EXPECT_THROW(TraceIndex::require_indexable(TraceIndex::kMaxEvents + 1),
+               CheckError);
 }
 
 TEST(TraceIndexContract, AdvanceLookupsMatchLinearScan) {

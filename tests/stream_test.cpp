@@ -50,6 +50,7 @@ using core::EventBasedOptions;
 using core::StreamingReconstructor;
 using trace::ChunkReader;
 using trace::Event;
+using trace::EventKind;
 using trace::image_of;
 using trace::Trace;
 
@@ -257,7 +258,8 @@ void expect_index_equal(const trace::TraceIndex& a, const trace::TraceIndex& b,
   }
   for (std::size_t p = 0; p < a.num_procs(); ++p) {
     const auto proc = static_cast<trace::ProcId>(p);
-    EXPECT_EQ(a.events_of(proc), b.events_of(proc)) << "proc " << p;
+    EXPECT_TRUE(std::ranges::equal(a.events_of(proc), b.events_of(proc)))
+        << "proc " << p;
   }
   EXPECT_EQ(a.duplicate_advances(), b.duplicate_advances());
 
@@ -332,6 +334,54 @@ TEST(IncrementalTraceIndex, SealMatchesBatchAndReference) {
     EXPECT_EQ(trace::index_digest(batch, subject),
               golden::kIndexDigests[i].value);
   }
+}
+
+/// A two-processor trace: `pad` statement events, then `middle`, then `pad`
+/// more, timed in append order.  The incremental builder sees `middle`
+/// arrive inside one of seal_in_slices' uneven slices.
+Trace padded_trace(const std::vector<Event>& middle, std::size_t pad) {
+  Trace t(trace::TraceInfo{"lazy-tables", 2, 1.0});
+  trace::Tick time = 0;
+  const auto stmt = [&](std::size_t k) {
+    t.append({++time, 0, 1, 0, static_cast<trace::ProcId>(k % 2),
+              k % 4 < 2 ? EventKind::kStmtEnter : EventKind::kStmtExit});
+  };
+  for (std::size_t k = 0; k < pad; ++k) stmt(k);
+  for (Event e : middle) {
+    e.time = ++time;
+    t.append(e);
+  }
+  for (std::size_t k = 0; k < pad; ++k) stmt(k);
+  return t;
+}
+
+// The fork, lock and semaphore tables are allocated on their first entry.
+// Whether that entry arrives mid-trace (and mid-slice) or never, the sealed
+// incremental index answers exactly what the batch index answers.
+TEST(IncrementalTraceIndex, LazyTablesMatchBatchWhateverTheirFirstEntry) {
+  using K = EventKind;
+  const auto ev = [](trace::ProcId proc, EventKind kind, trace::ObjectId obj) {
+    return Event{0, 0, 0, obj, proc, kind};
+  };
+  const auto check = [](const char* label, const std::vector<Event>& middle) {
+    SCOPED_TRACE(label);
+    const Trace t = padded_trace(middle, 37);
+    const trace::TraceIndex batch(t);
+    const trace::TraceIndex sealed = seal_in_slices(t);
+    expect_index_equal(sealed, batch, t);
+    EXPECT_EQ(trace::index_digest(sealed, t), trace::index_digest(batch, t));
+  };
+  check("first lock hand-off",
+        {ev(0, K::kLockAcquire, 5), ev(0, K::kLockRelease, 5),
+         ev(1, K::kLockAcquire, 5), ev(1, K::kLockRelease, 5)});
+  check("first semaphore acquire",
+        {ev(0, K::kSemAcquire, 3), ev(1, K::kSemAcquire, 3),
+         ev(0, K::kSemRelease, 3), ev(1, K::kSemRelease, 3)});
+  check("first loop episode",
+        {ev(0, K::kLoopBegin, 1), ev(1, K::kStmtEnter, 0),
+         ev(0, K::kStmtEnter, 0), ev(1, K::kStmtExit, 0),
+         ev(0, K::kLoopEnd, 1)});
+  check("none of them", {});
 }
 
 // ---- StreamingReconstructor ----------------------------------------------

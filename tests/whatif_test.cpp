@@ -380,6 +380,20 @@ TEST(WhatIfEngine, RunManyReusesScratchAcrossUnevenBlocks) {
   expect_run_and_run_many_match_oracle(t, "contention:1 procs 8", plans, 1);
 }
 
+TEST(WhatIfEngine, RunManyMatchesReferenceAtBothRowWidths) {
+  // Blocks of up to 4 distinct plans sweep 4-wide time rows, larger ones
+  // 8-wide rows; 9 plans on one thread run a 5-lane block and then a 4-lane
+  // block on the same scratch, narrowing its rows.
+  const Trace t =
+      recovered_workload_trace(workload::Family::kContention, 2, 8);
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  for (const std::size_t m : {1u, 3u, 4u, 5u, 8u, 9u})
+    expect_run_and_run_many_match_oracle(
+        t, "contention:2 procs 8, " + std::to_string(m) + " plans",
+        make_plans(sites, m), 1);
+}
+
 TEST(WhatIfEngine, MatchesReferenceWhenLoopEpisodesOverlap) {
   // The same kernel run twice back to back, with the first run's LoopEnd
   // lost from the capture: the first episode then runs to the end of the
@@ -409,6 +423,124 @@ TEST(WhatIfEngine, MatchesReferenceWhenLoopEpisodesOverlap) {
     expect_engine_matches_oracle(twice,
                                  "lfk" + std::to_string(loop) + " twice");
   }
+}
+
+/// Hand-built traces for the membership edge cases.  Each event advances
+/// the clock by a deterministic spread of costs, so per-event removals are
+/// uneven and mostly nonzero.
+class TraceBuilder {
+ public:
+  explicit TraceBuilder(std::uint32_t procs)
+      : t_(trace::TraceInfo{"membership", procs, 1.0}) {}
+  TraceBuilder& add(trace::ProcId proc, trace::EventKind kind,
+                    trace::ObjectId object = 0, trace::EventId id = 0) {
+    now_ += 7 + static_cast<Tick>((t_.size() * 37) % 53);
+    t_.append({now_, 0, id, object, proc, kind});
+    return *this;
+  }
+  TraceBuilder& stmt(trace::ProcId proc, trace::EventId id) {
+    add(proc, trace::EventKind::kStmtEnter, 0, id);
+    return add(proc, trace::EventKind::kStmtExit, 0, id);
+  }
+  Trace take() { return std::move(t_); }
+
+ private:
+  Trace t_;
+  Tick now_ = 0;
+};
+
+/// run() and run_many() against the oracle on a hand-built trace, every
+/// site at several speedups.
+void expect_membership_case_matches_oracle(const Trace& t,
+                                           const std::string& label) {
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  ASSERT_GT(sites.size(), 0u) << label;
+  expect_run_and_run_many_match_oracle(
+      t, label, make_plans(sites, std::max<std::size_t>(21, 3 * sites.size())),
+      2);
+}
+
+TEST(WhatIfEngine, MatchesReferenceWhenLockIsHeldAcrossLoopBoundary) {
+  using trace::EventKind;
+  TraceBuilder b(3);
+  for (trace::ProcId p = 0; p < 3; ++p) b.stmt(p, 1);
+  b.add(0, EventKind::kLockAcquire, 7);  // held into the episode ...
+  b.stmt(0, 2);
+  b.add(0, EventKind::kLoopBegin, 1);
+  b.stmt(1, 3).stmt(2, 3);
+  b.add(1, EventKind::kLockAcquire, 8);  // acquired inside it ...
+  b.stmt(1, 4);
+  b.add(0, EventKind::kLockRelease, 7);  // ... released inside it
+  b.stmt(0, 3).stmt(2, 4);
+  b.add(0, EventKind::kLoopEnd, 1);
+  b.stmt(1, 4).stmt(0, 5);
+  b.add(1, EventKind::kLockRelease, 8);  // ... released after it
+  for (trace::ProcId p = 0; p < 3; ++p) b.stmt(p, 5);
+  const Trace t = b.take();
+  const TraceIndex index(t);
+  ASSERT_EQ(index.loops().size(), 1u);
+  ASSERT_NE(index.loops()[0].end_index, TraceIndex::npos);
+  expect_membership_case_matches_oracle(t, "lock across loop boundary");
+}
+
+TEST(WhatIfEngine, MatchesReferenceWhenCriticalSectionsInterleave) {
+  // Each holder's section is interleaved with the other processors' work;
+  // the lock is handed off round-robin, re-acquired once while held, and
+  // released once by a processor that does not hold it.
+  using trace::EventKind;
+  TraceBuilder b(3);
+  for (int round = 0; round < 3; ++round) {
+    for (trace::ProcId p = 0; p < 3; ++p) {
+      const auto q = static_cast<trace::ProcId>((p + 1) % 3);
+      const auto r = static_cast<trace::ProcId>((p + 2) % 3);
+      b.add(p, EventKind::kLockAcquire, 9);
+      b.stmt(p, 6).stmt(q, 7).stmt(r, 7);
+      if (round == 1 && p == 1) b.add(p, EventKind::kLockAcquire, 9);
+      b.add(q, EventKind::kStmtEnter, 0, 8);
+      b.stmt(p, 6);
+      b.add(q, EventKind::kStmtExit, 0, 8);
+      b.add(p, EventKind::kLockRelease, 9);
+      if (round == 2 && p == 0) b.add(r, EventKind::kLockRelease, 9);
+    }
+  }
+  expect_membership_case_matches_oracle(b.take(),
+                                        "interleaved critical sections");
+}
+
+TEST(WhatIfEngine, MatchesReferenceWhenLockIsHeldAtTraceEnd) {
+  // Processor 0 never releases lock 4; processor 1's last event acquires
+  // lock 5, so that section holds no event at all.
+  using trace::EventKind;
+  TraceBuilder b(3);
+  for (trace::ProcId p = 0; p < 3; ++p) b.stmt(p, 1);
+  b.add(1, EventKind::kLockAcquire, 4);
+  b.stmt(1, 2);
+  b.add(1, EventKind::kLockRelease, 4);
+  b.add(0, EventKind::kLockAcquire, 4);
+  b.stmt(0, 2).stmt(2, 3);
+  b.add(1, EventKind::kLockAcquire, 5);
+  b.stmt(0, 3).stmt(2, 3).stmt(0, 2);
+  expect_membership_case_matches_oracle(b.take(), "lock held at trace end");
+}
+
+TEST(WhatIfEngine, MatchesReferenceWhenLoopIsTruncated) {
+  // The capture ends inside the loop's only episode: its members run to the
+  // end of the trace, on every processor.
+  using trace::EventKind;
+  TraceBuilder b(3);
+  b.stmt(0, 1);
+  b.add(0, EventKind::kLoopBegin, 2);
+  b.stmt(1, 2).stmt(2, 2).stmt(0, 2);
+  b.add(1, EventKind::kLockAcquire, 3);
+  b.stmt(1, 3).stmt(2, 4);
+  b.add(1, EventKind::kLockRelease, 3);
+  b.stmt(0, 4).stmt(1, 4).stmt(2, 2);
+  const Trace t = b.take();
+  const TraceIndex index(t);
+  ASSERT_EQ(index.loops().size(), 1u);
+  ASSERT_EQ(index.loops()[0].end_index, TraceIndex::npos);
+  expect_membership_case_matches_oracle(t, "truncated loop");
 }
 
 // ---- determinism, memoization, batching -----------------------------------
