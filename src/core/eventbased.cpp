@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -23,122 +22,67 @@ using trace::TraceIndex;
 
 constexpr std::size_t kNone = TraceIndex::npos;
 
-class Reconstructor {
+/// A dependency source as the retiming rules see it: absent (the trace has
+/// none), blocked (not resolved yet), or ready with its approximated time
+/// `ta` (and, where a rule needs it, its measured time `tm`).
+struct Dep {
+  enum class State : std::uint8_t { kAbsent, kBlocked, kReady };
+  State state = State::kAbsent;
+  Tick ta = 0;
+  Tick tm = 0;
+
+  static Dep absent() { return {}; }
+  static Dep blocked() { return {State::kBlocked, 0, 0}; }
+  static Dep ready(Tick ta, Tick tm = 0) { return {State::kReady, ta, tm}; }
+  bool is_absent() const { return state == State::kAbsent; }
+  bool is_blocked() const { return state == State::kBlocked; }
+};
+
+/// Both reconstructors' diagnosis of a dependency cycle.
+void check_all_resolved(std::size_t unresolved) {
+  PERTURB_CHECK_MSG(
+      unresolved == 0,
+      support::strf("event-based analysis deadlocked with %zu unresolved "
+                    "events (inconsistent measured trace?)",
+                    unresolved));
+}
+
+/// The retiming rules of §4.2, written once for both reconstructors.
+///
+/// try_resolve(e, src) re-times event `e`, whose dependency lookups `src`
+/// answers: fork(), advance() and await_begin() (an awaitE's partners),
+/// lock_release(), sem_ordinal() and sem_release(r), barrier_arrivals() (the
+/// latest approximated arrival of a departure's episode), then
+/// retire_await_begin() once an awaitE consumed its partner and publish(t)
+/// with the resolved time.  The batch source answers from the TraceIndex and
+/// the times resolved so far; the streamed one from its lookaside records.
+/// Events must be offered in trace order per processor.
+class Retimer {
  public:
-  Reconstructor(const TraceIndex& index, const AnalysisOverheads& ov,
-                const EventBasedOptions& opt)
-      : idx_(index), measured_(index.trace()), ov_(ov), opt_(opt) {}
+  Retimer(const AnalysisOverheads& ov, const EventBasedOptions& opt)
+      : ov_(ov), opt_(opt) {}
 
-  EventBasedResult run() {
-    const std::size_t n = measured_.size();
-    t_a_.assign(n, 0);
-    resolved_.assign(n, 0);
-    resolve_all();
-    return build_result();
-  }
-
- private:
-  /// Counting-semaphore dependency of acquire event i under the declared
-  /// capacities: the k-th acquire (0-based) waits for the (k - capacity)-th
-  /// release in measured order; the first `capacity` acquires take initial
-  /// permits and have no cross dependency.  Returns {modeled, dep}: not
-  /// modeled when the semaphore's capacity is unknown (time-based fallback).
-  std::pair<bool, std::size_t> sem_dep(std::size_t i) const {
-    const Event& e = measured_[i];
-    const auto cap = opt_.semaphore_capacity.find(e.object);
-    if (cap == opt_.semaphore_capacity.end()) return {false, kNone};
-    const std::size_t k = idx_.sem_ordinal(i);
-    if (k < static_cast<std::size_t>(cap->second)) return {true, kNone};
-    const auto& releases = idx_.sem_releases(e.object);
-    const std::size_t r = k - static_cast<std::size_t>(cap->second);
-    return {true, r < releases.size() ? releases[r] : kNone};
-  }
-
-  // ---- resolution ---------------------------------------------------------
-
-  /// Per-processor reconstruction state between synchronization points.
-  ///
-  /// Within a segment of independent execution the approximated time is
-  /// computed *cumulatively* from the segment's basis —
-  ///     t_a(e) = t_a(basis) + [t_m(e) - t_m(basis)] - sum(alpha since basis)
-  /// — so per-event probe-cost jitter telescopes instead of accumulating
-  /// through per-gap clamping.  The basis is re-anchored at every event whose
-  /// time comes from a dependency model (awaitE, lock acquire, barrier
-  /// depart, loop fork).
-  struct SegmentBasis {
-    bool valid = false;
-    Tick basis_ta = 0;
-    Tick basis_tm = 0;
-    Tick overhead = 0;  ///< mean probe overhead accrued since the basis
-  };
-
-  /// Base approximation: the de-perturbed measured gap from the event's
-  /// causal predecessor — the loop spawn for a processor's first event in a
-  /// parallel-loop episode (its own previous event happened before an idle
-  /// stretch whose measured length is the *master's* perturbed time), the
-  /// segment basis otherwise.  `fork` is the caller's idx_.fork_dep(i).
-  Tick base_time(std::size_t i, std::size_t fork) {
-    const Event& e = measured_[i];
-    const Cycles alpha = ov_.probe_for(e.kind);
-    if (fork != kNone) {
-      Tick gap = (e.time - measured_[fork].time) - alpha;
-      if (gap < 0) gap = 0;
-      return t_a_[fork] + gap;
-    }
-    if (basis_.size() <= e.proc) basis_.resize(e.proc + 1u);
-    SegmentBasis& seg = basis_[e.proc];
-    if (!seg.valid) {
-      const Tick t = e.time - alpha;
-      return t < 0 ? 0 : t;
-    }
-    seg.overhead += alpha;
-    Tick t = seg.basis_ta + (e.time - seg.basis_tm) - seg.overhead;
-    if (t < seg.basis_ta) t = seg.basis_ta;
-    return t;
-  }
-
-  /// Anchors a new segment basis at event `i` with approximated time `t`.
-  void rebase(std::size_t i, Tick t) {
-    const Event& e = measured_[i];
-    if (basis_.size() <= e.proc) basis_.resize(e.proc + 1u);
-    basis_[e.proc] = {true, t, e.time, 0};
-  }
-
-  /// Fused readiness test and resolution.  Checks event i's dependencies
-  /// and, when all are resolved, computes its approximated time in the same
-  /// pass, so each sync-table lookup happens once instead of once in ready()
-  /// and again in resolve().  Returns false — with no side effects — while a
-  /// dependency is still unresolved.
-  bool try_resolve(std::size_t i) {
-    const Event& e = measured_[i];
-    const std::size_t fork = idx_.fork_dep(i);
-    if (fork != kNone && !resolved_[fork]) return false;
+  /// Returns false — with no side effects — while a dependency is blocked;
+  /// otherwise computes e's approximated time and publishes it.
+  template <typename Source>
+  bool try_resolve(const Event& e, Source& src) {
+    const Dep fork = src.fork();
+    if (fork.is_blocked()) return false;
     Tick t;
     bool anchored = false;  // time came from a dependency model
     switch (e.kind) {
       case EventKind::kAwaitEnd: {
-        // A blocked awaitE is retried every resolution round; cache its
-        // partner lookups so the sync-table binary searches run once per
-        // event instead of once per retry.
-        if (pending_.size() <= e.proc) pending_.resize(e.proc + 1u);
-        PendingAwait& pending = pending_[e.proc];
-        if (pending.event != i) {
-          const SyncKey key{e.object, e.payload};
-          pending = {i, idx_.last_advance(key),
-                     idx_.last_await_begin(key, e.proc)};
-        }
-        const std::size_t adv = pending.advance;
-        if (adv != kNone && !resolved_[adv]) return false;
-        const std::size_t ab = pending.await_begin;
-        if (adv == kNone || ab == kNone) {
+        const Dep adv = src.advance();
+        if (adv.is_blocked()) return false;
+        const Dep ab = src.await_begin();
+        if (adv.is_absent() || ab.is_absent()) {
           // Degenerate trace (missing partner events): fall back to the
           // time-based rule.
-          t = base_time(i, fork);
+          t = base_time(e, fork);
           break;
         }
         anchored = true;
-        const Tick advance_t = t_a_[adv];
-        const Tick await_b_t = t_a_[ab];
+        src.retire_await_begin();
         ++stats_.awaits_total;
         // Measured waiting is judged by the await's *duration*: the awaitE
         // timestamp is inflated by its own probe, and the advance timestamp
@@ -147,15 +91,14 @@ class Reconstructor {
         const Cycles gamma = ov_.probe_for(EventKind::kAwaitEnd);
         const Tick nowait_span =
             ov_.s_nowait + gamma + std::max<Cycles>(4, gamma / 4);
-        const bool waited_measured =
-            measured_[i].time - measured_[ab].time > nowait_span;
+        const bool waited_measured = e.time - ab.tm > nowait_span;
         // Continuous form of the paper's two-branch formula: the await
         // completes either s_nowait after its begin or s_wait after the
         // advance, whichever is later.  At the branch boundary the two
         // expressions meet, so near-critical races do not amplify modelling
         // jitter the way a hard branch would.
-        const Tick no_wait_t = await_b_t + ov_.s_nowait;
-        const Tick wait_t = advance_t + ov_.s_wait;
+        const Tick no_wait_t = ab.ta + ov_.s_nowait;
+        const Tick wait_t = adv.ta + ov_.s_wait;
         const bool waits_approx = wait_t > no_wait_t;
         stats_.waits_measured += waited_measured ? 1 : 0;
         stats_.waits_approx += waits_approx ? 1 : 0;
@@ -166,68 +109,261 @@ class Reconstructor {
       }
       case EventKind::kLockAcquire: {
         if (!opt_.model_locks) {
-          t = base_time(i, fork);
+          t = base_time(e, fork);
           break;
         }
-        const std::size_t dep = idx_.lock_dep(i);
-        if (dep != kNone && !resolved_[dep]) return false;
+        const Dep release = src.lock_release();
+        if (release.is_blocked()) return false;
         anchored = true;
-        // Conservative hand-off: the processor requests the lock immediately
-        // after its previous recorded event; the lock becomes available when
-        // the previous holder's (approximated) release completes.
-        const std::size_t j = idx_.prev_on_proc(i);
-        const Tick request = j == kNone ? 0 : t_a_[j];
-        const Tick available = dep == kNone ? request : t_a_[dep];
-        t = std::max(request, available) + ov_.lock_acquire;
+        t = acquire_time(e.proc, release, ov_.lock_acquire);
         break;
       }
       case EventKind::kSemAcquire: {
-        const auto [modeled, dep] = sem_dep(i);
-        if (modeled && dep != kNone && !resolved_[dep]) return false;
-        if (!modeled) {
-          t = base_time(i, fork);  // capacity unknown: time-based fallback
+        // The k-th acquire (0-based) of a capacity-c semaphore waits for the
+        // (k - c)-th release in measured order; the first c take initial
+        // permits.  Unknown capacity: time-based fallback.
+        const auto cap = opt_.semaphore_capacity.find(e.object);
+        if (cap == opt_.semaphore_capacity.end()) {
+          t = base_time(e, fork);
           break;
         }
+        const std::size_t k = src.sem_ordinal();
+        const auto c = static_cast<std::size_t>(cap->second);
+        const Dep release = k < c ? Dep::absent() : src.sem_release(k - c);
+        if (release.is_blocked()) return false;
         anchored = true;
-        const std::size_t j = idx_.prev_on_proc(i);
-        const Tick request = j == kNone ? 0 : t_a_[j];
-        const Tick available = dep == kNone ? request : t_a_[dep];
-        t = std::max(request, available) + ov_.sem_acquire;
+        t = acquire_time(e.proc, release, ov_.sem_acquire);
         break;
       }
       case EventKind::kBarrierDepart: {
         if (!opt_.model_barriers) {
-          t = base_time(i, fork);
+          t = base_time(e, fork);
           break;
         }
-        const auto* ep = idx_.barrier_episode(e.object, e.payload);
-        Tick release = 0;
-        if (ep != nullptr) {
-          for (const std::size_t a : ep->arrivals)
-            if (!resolved_[a]) return false;
-          for (const std::size_t a : ep->arrivals)
-            release = std::max(release, t_a_[a]);
-        }
+        const Dep arrivals = src.barrier_arrivals();
+        if (arrivals.is_blocked()) return false;
         anchored = true;
-        t = release + ov_.barrier_depart;
+        t = arrivals.ta + ov_.barrier_depart;
         break;
       }
       default:
-        t = base_time(i, fork);
+        t = base_time(e, fork);
         break;
     }
     // Per-processor monotonicity: the dependency models can only push events
     // later than the same-processor predecessor, never earlier.
-    const std::size_t j = idx_.prev_on_proc(i);
-    if (j != kNone) t = std::max(t, t_a_[j]);
-    t_a_[i] = t;
-    resolved_[i] = 1;
+    ProcState& ps = proc(e.proc);
+    if (ps.started) t = std::max(t, ps.last_ta);
     // Dependency-model, fork, and segment-opening events anchor a new
     // independent-execution segment.
-    const bool first_on_proc =
-        basis_.size() <= e.proc || !basis_[e.proc].valid;
-    if (anchored || first_on_proc || fork != kNone) rebase(i, t);
+    if (anchored || !ps.started || !fork.is_absent())
+      ps = {true, t, e.time, 0, t};
+    else
+      ps.last_ta = t;
+    src.publish(t);  // last: the streamed source retimes `e` in place
     return true;
+  }
+
+  EventBasedResult take_stats() { return std::move(stats_); }
+
+ private:
+  /// Per-processor reconstruction state between synchronization points.
+  ///
+  /// Within a segment of independent execution the approximated time is
+  /// computed *cumulatively* from the segment's basis —
+  ///     t_a(e) = t_a(basis) + [t_m(e) - t_m(basis)] - sum(alpha since basis)
+  /// — so per-event probe-cost jitter telescopes instead of accumulating
+  /// through per-gap clamping.  The basis is re-anchored at every event whose
+  /// time comes from a dependency model (awaitE, lock acquire, barrier
+  /// depart, loop fork).
+  struct ProcState {
+    bool started = false;  ///< an event of this processor is resolved
+    Tick basis_ta = 0;
+    Tick basis_tm = 0;
+    Tick overhead = 0;  ///< mean probe overhead accrued since the basis
+    Tick last_ta = 0;   ///< the latest resolved event's approximated time
+  };
+
+  ProcState& proc(trace::ProcId p) {
+    if (procs_.size() <= p) procs_.resize(p + 1u);
+    return procs_[p];
+  }
+
+  /// Base approximation: the de-perturbed measured gap from the event's
+  /// causal predecessor — the loop spawn for a processor's first event in a
+  /// parallel-loop episode (its own previous event happened before an idle
+  /// stretch whose measured length is the *master's* perturbed time), the
+  /// segment basis otherwise.
+  Tick base_time(const Event& e, const Dep& fork) {
+    const Cycles alpha = ov_.probe_for(e.kind);
+    if (!fork.is_absent()) {
+      Tick gap = (e.time - fork.tm) - alpha;
+      if (gap < 0) gap = 0;
+      return fork.ta + gap;
+    }
+    ProcState& seg = proc(e.proc);
+    if (!seg.started) {
+      const Tick t = e.time - alpha;
+      return t < 0 ? 0 : t;
+    }
+    seg.overhead += alpha;
+    Tick t = seg.basis_ta + (e.time - seg.basis_tm) - seg.overhead;
+    if (t < seg.basis_ta) t = seg.basis_ta;
+    return t;
+  }
+
+  /// Conservative hand-off: the processor requests the lock (permit)
+  /// immediately after its previous recorded event; it becomes available
+  /// when the releasing event's approximated time is reached.
+  Tick acquire_time(trace::ProcId p, const Dep& release, Cycles cost) {
+    const ProcState& ps = proc(p);
+    const Tick request = ps.started ? ps.last_ta : 0;
+    const Tick available = release.is_absent() ? request : release.ta;
+    return std::max(request, available) + cost;
+  }
+
+  const AnalysisOverheads& ov_;
+  const EventBasedOptions& opt_;
+  std::vector<ProcState> procs_;
+  EventBasedResult stats_;
+};
+
+/// The approximated trace: a k-way merge of the per-processor chains, each
+/// nondecreasing in (t_a, measured index) under the monotonicity clamp —
+/// identical to the stable sort by time of the re-timed events, without
+/// sorting all n of them.  `length(c)` is chain c's length and `at(c, k)`
+/// its k-th RetimedEvent.  With at most one cursor per processor a linear
+/// min-scan beats a heap: a handful of predictable compares per event.
+template <typename Length, typename At>
+Trace merge_chains(const trace::TraceInfo& measured, std::size_t chains,
+                   std::size_t total, Length length, At at) {
+  Trace approx(measured);
+  approx.info().name = measured.name + "/event-based";
+  approx.events().reserve(total);
+  struct Cursor {
+    RetimedEvent head;
+    std::size_t chain;
+    std::size_t pos;
+    std::size_t end;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(chains);
+  for (std::size_t c = 0; c < chains; ++c)
+    if (const std::size_t end = length(c); end != 0)
+      cursors.push_back({at(c, 0), c, 0, end});
+  while (!cursors.empty()) {
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < cursors.size(); ++k) {
+      const RetimedEvent& a = cursors[k].head;
+      const RetimedEvent& b = cursors[best].head;
+      if (a.event.time < b.event.time ||
+          (a.event.time == b.event.time && a.index < b.index))
+        best = k;
+    }
+    Cursor& c = cursors[best];
+    approx.append(c.head.event);
+    if (++c.pos < c.end) {
+      c.head = at(c.chain, c.pos);
+    } else {
+      cursors[best] = cursors.back();
+      cursors.pop_back();
+    }
+  }
+  return approx;
+}
+
+/// Batch reconstruction over a TraceIndex: resolves each processor's events
+/// in measured order, round-robin until every event is resolved.
+class Reconstructor {
+ public:
+  Reconstructor(const TraceIndex& index, const AnalysisOverheads& ov,
+                const EventBasedOptions& opt)
+      : idx_(index), measured_(index.trace()), retimer_(ov, opt) {}
+
+  EventBasedResult run() {
+    const std::size_t n = measured_.size();
+    t_a_.assign(n, 0);
+    resolved_.assign(n, 0);
+    resolve_all();
+    const auto chain = [&](std::size_t p) {
+      return idx_.events_of(static_cast<trace::ProcId>(p));
+    };
+    EventBasedResult result = retimer_.take_stats();
+    result.approx = merge_chains(
+        measured_.info(), idx_.num_procs(), n,
+        [&](std::size_t p) { return chain(p).size(); },
+        [&](std::size_t p, std::size_t k) {
+          const std::size_t i = chain(p)[k];
+          RetimedEvent r{measured_[i], i};
+          r.event.time = t_a_[i];
+          return r;
+        });
+    return result;
+  }
+
+ private:
+  /// Event i's dependencies, answered from the index and the approximated
+  /// times resolved so far.
+  struct Source {
+    Reconstructor& r;
+    std::size_t i;
+
+    Dep resolved(std::size_t j) const {
+      if (j == kNone) return Dep::absent();
+      return r.resolved_[j] ? Dep::ready(r.t_a_[j]) : Dep::blocked();
+    }
+    Dep fork() const {
+      const std::size_t f = r.idx_.fork_dep(i);
+      Dep d = resolved(f);
+      if (!d.is_absent()) d.tm = r.measured_[f].time;
+      return d;
+    }
+    Dep advance() {
+      // A blocked awaitE is retried every resolution round; cache its
+      // partner lookups so the sync-table binary searches run once per
+      // event instead of once per retry.
+      const Event& e = r.measured_[i];
+      if (r.pending_.size() <= e.proc) r.pending_.resize(e.proc + 1u);
+      PendingAwait& pending = r.pending_[e.proc];
+      if (pending.event != i) {
+        const SyncKey key{e.object, e.payload};
+        pending = {i, r.idx_.last_advance(key),
+                   r.idx_.last_await_begin(key, e.proc)};
+      }
+      return resolved(pending.advance);
+    }
+    Dep await_begin() const {
+      const std::size_t ab = r.pending_[r.measured_[i].proc].await_begin;
+      if (ab == kNone) return Dep::absent();
+      return Dep::ready(r.t_a_[ab], r.measured_[ab].time);
+    }
+    void retire_await_begin() const {}
+    Dep lock_release() const { return resolved(r.idx_.lock_dep(i)); }
+    std::size_t sem_ordinal() const { return r.idx_.sem_ordinal(i); }
+    Dep sem_release(std::size_t k) const {
+      const auto& releases = r.idx_.sem_releases(r.measured_[i].object);
+      return k < releases.size() ? resolved(releases[k]) : Dep::absent();
+    }
+    Dep barrier_arrivals() const {
+      const Event& e = r.measured_[i];
+      const auto* ep = r.idx_.barrier_episode(e.object, e.payload);
+      if (ep == nullptr) return Dep::absent();
+      Tick latest = 0;
+      for (const std::size_t a : ep->arrivals) {
+        if (!r.resolved_[a]) return Dep::blocked();
+        latest = std::max(latest, r.t_a_[a]);
+      }
+      return Dep::ready(latest);
+    }
+    void publish(Tick t) const {
+      r.t_a_[i] = t;
+      r.resolved_[i] = 1;
+    }
+  };
+
+  bool try_resolve(std::size_t i) {
+    Source src{*this, i};
+    return retimer_.try_resolve(measured_[i], src);
   }
 
   void resolve_all() {
@@ -247,68 +383,12 @@ class Reconstructor {
         }
       }
     }
-    PERTURB_CHECK_MSG(
-        remaining == 0,
-        support::strf("event-based analysis deadlocked with %zu unresolved "
-                      "events (inconsistent measured trace?)",
-                      remaining));
-  }
-
-  // ---- output ------------------------------------------------------------
-
-  EventBasedResult build_result() {
-    Trace approx(measured_.info());
-    approx.info().name = measured_.info().name + "/event-based";
-    approx.events().reserve(measured_.size());
-    // The monotonicity clamp makes t_a nondecreasing along every
-    // per-processor chain, so the approximated trace is a k-way merge of the
-    // chains keyed by (t_a, original index) — identical to the stable sort
-    // by time of the re-timed events, without sorting all n of them.  With
-    // at most one cursor per processor a linear min-scan beats a heap: the
-    // scan is a handful of predictable compares per output event.
-    struct Cursor {
-      Tick t;
-      std::size_t idx;
-      trace::ProcId proc;
-      std::size_t pos;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(idx_.num_procs());
-    for (std::size_t p = 0; p < idx_.num_procs(); ++p) {
-      const auto evs = idx_.events_of(static_cast<trace::ProcId>(p));
-      if (!evs.empty())
-        cursors.push_back(
-            {t_a_[evs[0]], evs[0], static_cast<trace::ProcId>(p), 0});
-    }
-    while (!cursors.empty()) {
-      std::size_t best = 0;
-      for (std::size_t k = 1; k < cursors.size(); ++k) {
-        const Cursor& a = cursors[k];
-        const Cursor& b = cursors[best];
-        if (a.t < b.t || (a.t == b.t && a.idx < b.idx)) best = k;
-      }
-      Cursor& c = cursors[best];
-      Event out = measured_[c.idx];
-      out.time = c.t;
-      approx.append(out);
-      const auto evs = idx_.events_of(c.proc);
-      if (++c.pos < evs.size()) {
-        c.idx = evs[c.pos];
-        c.t = t_a_[c.idx];
-      } else {
-        cursors[best] = cursors.back();
-        cursors.pop_back();
-      }
-    }
-    EventBasedResult result = std::move(stats_);
-    result.approx = std::move(approx);
-    return result;
+    check_all_resolved(remaining);
   }
 
   const TraceIndex& idx_;
   const Trace& measured_;
-  const AnalysisOverheads& ov_;
-  const EventBasedOptions& opt_;
+  Retimer retimer_;
 
   /// Partner lookups of the awaitE a processor is currently blocked on.
   struct PendingAwait {
@@ -319,9 +399,7 @@ class Reconstructor {
 
   std::vector<Tick> t_a_;
   std::vector<std::uint8_t> resolved_;  ///< flat flags; vector<bool> is slower
-  std::vector<SegmentBasis> basis_;     ///< per-processor segment state
   std::vector<PendingAwait> pending_;   ///< per-processor awaitE memo
-  EventBasedResult stats_;
 };
 
 }  // namespace
@@ -354,54 +432,21 @@ std::size_t CollectSink::size() const noexcept {
 }
 
 trace::Trace CollectSink::take(const trace::TraceInfo& measured_info) {
-  Trace approx(measured_info);
-  approx.info().name = measured_info.name + "/event-based";
-  approx.events().reserve(size());
-  // Same linear min-scan k-way merge as the batch build_result: each chain
-  // is nondecreasing in (t_a, measured index), so the merge equals a stable
-  // sort by time of the re-timed events.
-  struct Cursor {
-    Tick t;
-    std::size_t idx;
-    std::size_t chain;
-    std::size_t pos;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(chains_.size());
-  for (std::size_t p = 0; p < chains_.size(); ++p)
-    if (!chains_[p].empty())
-      cursors.push_back(
-          {chains_[p][0].event.time, chains_[p][0].index, p, 0});
-  while (!cursors.empty()) {
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < cursors.size(); ++k) {
-      const Cursor& a = cursors[k];
-      const Cursor& b = cursors[best];
-      if (a.t < b.t || (a.t == b.t && a.idx < b.idx)) best = k;
-    }
-    Cursor& c = cursors[best];
-    approx.append(chains_[c.chain][c.pos].event);
-    if (++c.pos < chains_[c.chain].size()) {
-      const RetimedEvent& next = chains_[c.chain][c.pos];
-      c.t = next.event.time;
-      c.idx = next.index;
-    } else {
-      cursors[best] = cursors.back();
-      cursors.pop_back();
-    }
-  }
+  Trace approx = merge_chains(
+      measured_info, chains_.size(), size(),
+      [&](std::size_t c) { return chains_[c].size(); },
+      [&](std::size_t c, std::size_t k) { return chains_[c][k]; });
   chains_.clear();
   return approx;
 }
 
-/// Streaming mirror of the batch Reconstructor.  Dependencies on already
-/// retired events are answered from small lookaside records created at
-/// ingest (one per advance / lock release / semaphore release / loop spawn
-/// / barrier episode / resolved await-begin) instead of from a TraceIndex,
-/// and events wait in per-processor FIFO queues until their dependencies
-/// resolve.  Every formula, clamp, stats update, and fallback matches
-/// try_resolve in the batch Reconstructor above — when editing either,
-/// update both (the stream_test fuzz grid holds them equal).
+/// Streamed reconstruction with the batch reconstructor's Retimer.
+/// Dependencies on already retired events are answered from small lookaside
+/// records created at ingest (one per advance / lock release / semaphore
+/// release / loop spawn / barrier episode / resolved await-begin) instead of
+/// from a TraceIndex, and events wait in per-processor FIFO queues until
+/// their dependencies resolve.  Before end-of-stream a partner that has not
+/// been ingested yet may still arrive, so it blocks instead of being absent.
 struct StreamingReconstructor::Impl {
   /// A dependency source's approximated time, shared between the pending
   /// event that will resolve it and everyone captured a reference to it.
@@ -430,15 +475,6 @@ struct StreamingReconstructor::Impl {
     Tick max_ta = 0;
   };
 
-  /// Per-processor independent-execution segment state; see the batch
-  /// Reconstructor's SegmentBasis.
-  struct SegmentBasis {
-    bool valid = false;
-    Tick basis_ta = 0;
-    Tick basis_tm = 0;
-    Tick overhead = 0;
-  };
-
   /// An ingested, not yet resolved event.  `rec` is the event's own DepRec
   /// (advance, lock/semaphore release) or its captured dependency (lock
   /// acquire); `self` is a LoopBegin's loop ordinal or a SemAcquire's
@@ -461,6 +497,88 @@ struct StreamingReconstructor::Impl {
   struct AwaitBKeyHash {
     std::size_t operator()(const AwaitBKey& k) const noexcept {
       return trace::SyncKeyHash{}(k.key) * 1000003u + k.proc;
+    }
+  };
+  using AwaitBMap = std::unordered_map<AwaitBKey, AwaitBRec, AwaitBKeyHash>;
+
+  /// Pending event `pd`'s dependencies, answered from the lookasides.
+  struct Source {
+    Impl& s;
+    Pending& pd;
+    AwaitBMap::iterator await_begin_{};
+
+    static Dep of(const DepRec* rec) {
+      if (rec == nullptr) return Dep::absent();
+      return rec->resolved ? Dep::ready(rec->ta) : Dep::blocked();
+    }
+    /// A partner not ingested yet: absent only once the stream has ended.
+    Dep unseen() const { return s.eof_ ? Dep::absent() : Dep::blocked(); }
+
+    Dep fork() const {
+      if (pd.fork == kNone) return Dep::absent();
+      const LoopRec& lr = s.loop_recs_[pd.fork];
+      return lr.resolved ? Dep::ready(lr.ta, lr.tm) : Dep::blocked();
+    }
+    Dep advance() const {
+      // Latest seen wins, like TraceIndex::last_advance.
+      const auto it = s.advances_.find(SyncKey{pd.e.object, pd.e.payload});
+      return it == s.advances_.end() ? unseen() : of(it->second);
+    }
+    Dep await_begin() {
+      await_begin_ = s.awaitbs_.find(
+          AwaitBKey{SyncKey{pd.e.object, pd.e.payload}, pd.e.proc});
+      if (await_begin_ == s.awaitbs_.end()) return Dep::absent();
+      return Dep::ready(await_begin_->second.ta, await_begin_->second.tm);
+    }
+    /// One await-end consumes one await-begin on its own processor: the
+    /// lookaside tracks outstanding awaits (O(window)), not every await.
+    void retire_await_begin() { s.awaitbs_.erase(await_begin_); }
+    Dep lock_release() const { return of(pd.rec); }
+    std::size_t sem_ordinal() const { return pd.self; }
+    Dep sem_release(std::size_t k) const {
+      const auto rel = s.sem_releases_.find(pd.e.object);
+      if (rel == s.sem_releases_.end() || k >= rel->second.size())
+        return unseen();
+      return of(rel->second[k]);
+    }
+    Dep barrier_arrivals() const {
+      // Arrivals precede departures in any consistent episode, so every
+      // arrival is already ingested (seen) by the time the departure is at
+      // its queue head — the seen count is the episode's full arrival list.
+      const auto it = s.barriers_.find(SyncKey{pd.e.object, pd.e.payload});
+      if (it == s.barriers_.end()) return Dep::absent();
+      if (it->second.resolved < it->second.seen) return Dep::blocked();
+      return Dep::ready(it->second.max_ta);
+    }
+    /// Publishes the event as a dependency source and retires it with its
+    /// approximated time.
+    void publish(Tick t) {
+      const Event& e = pd.e;
+      switch (e.kind) {
+        case EventKind::kAdvance:
+        case EventKind::kLockRelease:
+        case EventKind::kSemRelease:
+          pd.rec->ta = t;
+          pd.rec->resolved = true;
+          break;
+        case EventKind::kAwaitBegin:
+          s.awaitbs_[AwaitBKey{SyncKey{e.object, e.payload}, e.proc}] = {
+              t, e.time};
+          break;
+        case EventKind::kBarrierArrive: {
+          BarrierRec& br = s.barriers_[SyncKey{e.object, e.payload}];
+          ++br.resolved;
+          br.max_ta = std::max(br.max_ta, t);
+          break;
+        }
+        case EventKind::kLoopBegin:
+          s.loop_recs_[pd.self].ta = t;
+          s.loop_recs_[pd.self].resolved = true;
+          break;
+        default:
+          break;
+      }
+      pd.e.time = t;
     }
   };
 
@@ -487,29 +605,17 @@ struct StreamingReconstructor::Impl {
     Pending pd;
     pd.e = e;
     pd.index = next_index_++;
-
-    // Fork tracking — the per-event transition of the index builders' scan.
-    if (e.kind == EventKind::kLoopBegin) {
-      pd.self = loop_recs_.size();
-      loop_recs_.push_back({e.time, 0, false});
-      open_loop_ = pd.self;
-      if (joined_loop_.size() <= e.proc) joined_loop_.resize(e.proc + 1u, 0);
-      joined_loop_[e.proc] = open_loop_ + 1;  // master's chain covers it
-    } else if (e.kind == EventKind::kLoopEnd) {
-      open_loop_ = kNone;
-    } else if (open_loop_ != kNone) {
-      if (joined_loop_.size() <= e.proc) joined_loop_.resize(e.proc + 1u, 0);
-      if (joined_loop_[e.proc] != open_loop_ + 1) {
-        joined_loop_[e.proc] = open_loop_ + 1;
-        pd.fork = open_loop_;
-      }
-    }
+    pd.fork = forks_.step(e);
 
     const SyncKey key{e.object, e.payload};
     switch (e.kind) {
+      case EventKind::kLoopBegin:
+        pd.self = loop_recs_.size();
+        loop_recs_.push_back({e.time, 0, false});
+        break;
       case EventKind::kAdvance:
         pd.rec = new_rec();
-        advances_[key] = pd.rec;  // latest seen wins, like last_advance
+        advances_[key] = pd.rec;
         break;
       case EventKind::kLockRelease:
         pd.rec = new_rec();
@@ -544,189 +650,6 @@ struct StreamingReconstructor::Impl {
 
   // ---- resolution ---------------------------------------------------------
 
-  Tick base_time(const Pending& pd) {
-    const Event& e = pd.e;
-    const Cycles alpha = ov_.probe_for(e.kind);
-    if (pd.fork != kNone) {
-      const LoopRec& lr = loop_recs_[pd.fork];
-      Tick gap = (e.time - lr.tm) - alpha;
-      if (gap < 0) gap = 0;
-      return lr.ta + gap;
-    }
-    if (basis_.size() <= e.proc) basis_.resize(e.proc + 1u);
-    SegmentBasis& seg = basis_[e.proc];
-    if (!seg.valid) {
-      const Tick t = e.time - alpha;
-      return t < 0 ? 0 : t;
-    }
-    seg.overhead += alpha;
-    Tick t = seg.basis_ta + (e.time - seg.basis_tm) - seg.overhead;
-    if (t < seg.basis_ta) t = seg.basis_ta;
-    return t;
-  }
-
-  void rebase(const Event& e, Tick t) {
-    if (basis_.size() <= e.proc) basis_.resize(e.proc + 1u);
-    basis_[e.proc] = {true, t, e.time, 0};
-  }
-
-  /// Streaming try_resolve: false — with no side effects — while a
-  /// dependency is unresolved (or, before end-of-stream, possibly not yet
-  /// ingested).  The formulae are the batch Reconstructor's.
-  bool try_resolve(Pending& pd) {
-    const Event& e = pd.e;
-    if (pd.fork != kNone && !loop_recs_[pd.fork].resolved) return false;
-    Tick t;
-    bool anchored = false;  // time came from a dependency model
-    switch (e.kind) {
-      case EventKind::kAwaitEnd: {
-        const SyncKey key{e.object, e.payload};
-        const auto adv = advances_.find(key);
-        const DepRec* advrec = adv == advances_.end() ? nullptr : adv->second;
-        // An unseen advance may still arrive; only end-of-stream makes the
-        // batch reader's "no advance" (kNone) fallback definitive.
-        if (advrec == nullptr && !eof_) return false;
-        if (advrec != nullptr && !advrec->resolved) return false;
-        const auto ab = awaitbs_.find(AwaitBKey{key, e.proc});
-        if (advrec == nullptr || ab == awaitbs_.end()) {
-          // Degenerate trace (missing partner events): fall back to the
-          // time-based rule.
-          t = base_time(pd);
-          break;
-        }
-        anchored = true;
-        const Tick advance_t = advrec->ta;
-        const Tick await_b_t = ab->second.ta;
-        ++stats_.awaits_total;
-        const Cycles gamma = ov_.probe_for(EventKind::kAwaitEnd);
-        const Tick nowait_span =
-            ov_.s_nowait + gamma + std::max<Cycles>(4, gamma / 4);
-        const bool waited_measured = e.time - ab->second.tm > nowait_span;
-        // One await-end consumes one await-begin on its own processor:
-        // retire the record so the lookaside tracks outstanding awaits
-        // (O(window)), not every await in the trace.
-        awaitbs_.erase(ab);
-        const Tick no_wait_t = await_b_t + ov_.s_nowait;
-        const Tick wait_t = advance_t + ov_.s_wait;
-        const bool waits_approx = wait_t > no_wait_t;
-        stats_.waits_measured += waited_measured ? 1 : 0;
-        stats_.waits_approx += waits_approx ? 1 : 0;
-        stats_.waits_removed += (waited_measured && !waits_approx) ? 1 : 0;
-        stats_.waits_introduced += (!waited_measured && waits_approx) ? 1 : 0;
-        t = std::max(no_wait_t, wait_t);
-        break;
-      }
-      case EventKind::kLockAcquire: {
-        if (!opt_.model_locks) {
-          t = base_time(pd);
-          break;
-        }
-        if (pd.rec != nullptr && !pd.rec->resolved) return false;
-        anchored = true;
-        const Tick request = last_ta(e.proc);
-        const Tick available = pd.rec == nullptr ? request : pd.rec->ta;
-        t = std::max(request, available) + ov_.lock_acquire;
-        break;
-      }
-      case EventKind::kSemAcquire: {
-        const auto cap = opt_.semaphore_capacity.find(e.object);
-        if (cap == opt_.semaphore_capacity.end()) {
-          t = base_time(pd);  // capacity unknown: time-based fallback
-          break;
-        }
-        const DepRec* dep = nullptr;
-        if (pd.self >= static_cast<std::size_t>(cap->second)) {
-          const std::size_t r =
-              pd.self - static_cast<std::size_t>(cap->second);
-          const auto rel = sem_releases_.find(e.object);
-          const std::size_t have =
-              rel == sem_releases_.end() ? 0 : rel->second.size();
-          if (r < have) {
-            dep = rel->second[r];
-          } else if (!eof_) {
-            return false;  // the release may still arrive
-          }
-        }
-        if (dep != nullptr && !dep->resolved) return false;
-        anchored = true;
-        const Tick request = last_ta(e.proc);
-        const Tick available = dep == nullptr ? request : dep->ta;
-        t = std::max(request, available) + ov_.sem_acquire;
-        break;
-      }
-      case EventKind::kBarrierDepart: {
-        if (!opt_.model_barriers) {
-          t = base_time(pd);
-          break;
-        }
-        // Arrivals precede departures in any consistent episode, so every
-        // arrival is already ingested (seen) by the time the departure is
-        // at its queue head — the seen count equals the episode's full
-        // arrival list.
-        const auto it = barriers_.find(SyncKey{e.object, e.payload});
-        Tick release = 0;
-        if (it != barriers_.end()) {
-          if (it->second.resolved < it->second.seen) return false;
-          release = it->second.max_ta;
-        }
-        anchored = true;
-        t = release + ov_.barrier_depart;
-        break;
-      }
-      default:
-        t = base_time(pd);
-        break;
-    }
-    // Per-processor monotonicity: the dependency models can only push events
-    // later than the same-processor predecessor, never earlier.
-    if (e.proc < has_last_.size() && has_last_[e.proc])
-      t = std::max(t, last_ta_[e.proc]);
-
-    // Publish this event as a dependency source.
-    switch (e.kind) {
-      case EventKind::kAdvance:
-      case EventKind::kLockRelease:
-      case EventKind::kSemRelease:
-        pd.rec->ta = t;
-        pd.rec->resolved = true;
-        break;
-      case EventKind::kAwaitBegin:
-        awaitbs_[AwaitBKey{SyncKey{e.object, e.payload}, e.proc}] = {t, e.time};
-        break;
-      case EventKind::kBarrierArrive: {
-        BarrierRec& br = barriers_[SyncKey{e.object, e.payload}];
-        ++br.resolved;
-        br.max_ta = std::max(br.max_ta, t);
-        break;
-      }
-      case EventKind::kLoopBegin: {
-        LoopRec& lr = loop_recs_[pd.self];
-        lr.ta = t;
-        lr.resolved = true;
-        break;
-      }
-      default:
-        break;
-    }
-
-    if (has_last_.size() <= e.proc) {
-      has_last_.resize(e.proc + 1u, 0);
-      last_ta_.resize(e.proc + 1u, 0);
-    }
-    const bool first_on_proc =
-        basis_.size() <= e.proc || !basis_[e.proc].valid;
-    has_last_[e.proc] = 1;
-    last_ta_[e.proc] = t;
-    if (anchored || first_on_proc || pd.fork != kNone) rebase(e, t);
-    // Retire: the pending event now carries its approximated time.
-    pd.e.time = t;
-    return true;
-  }
-
-  Tick last_ta(trace::ProcId proc) const {
-    return proc < has_last_.size() && has_last_[proc] ? last_ta_[proc] : 0;
-  }
-
   /// Round-robin over the per-processor queues until a full pass makes no
   /// progress, spilling each processor's resolved run as one segment.
   void drain() {
@@ -736,7 +659,9 @@ struct StreamingReconstructor::Impl {
       for (std::size_t p = 0; p < queues_.size(); ++p) {
         auto& q = queues_[p];
         scratch_.clear();
-        while (!q.empty() && try_resolve(q.front())) {
+        while (!q.empty()) {
+          Source src{*this, q.front()};
+          if (!retimer_.try_resolve(q.front().e, src)) break;
           scratch_.push_back({q.front().e, q.front().index});
           q.pop_front();
           --resident_;
@@ -755,18 +680,15 @@ struct StreamingReconstructor::Impl {
     eof_ = true;
     ++windows_;
     drain();
-    PERTURB_CHECK_MSG(
-        resident_ == 0,
-        support::strf("event-based analysis deadlocked with %zu unresolved "
-                      "events (inconsistent measured trace?)",
-                      resident_));
-    return std::move(stats_);
+    check_all_resolved(resident_);
+    return retimer_.take_stats();
   }
 
   const AnalysisOverheads ov_;
   const EventBasedOptions opt_;
   const std::size_t window_;
   StreamSink* sink_;
+  Retimer retimer_{ov_, opt_};
 
   bool eof_ = false;
   std::size_t next_index_ = 0;
@@ -779,8 +701,7 @@ struct StreamingReconstructor::Impl {
   std::vector<RetimedEvent> scratch_;
 
   // Ingest-side scan state (fork / ordinal assignment).
-  std::vector<std::size_t> joined_loop_;  ///< by proc; loop ordinal + 1
-  std::size_t open_loop_ = kNone;
+  trace::ForkScan forks_;
   std::unordered_map<trace::ObjectId, std::size_t> sem_acquire_count_;
   std::unordered_map<trace::ObjectId, DepRec*> lock_latest_;
 
@@ -791,16 +712,9 @@ struct StreamingReconstructor::Impl {
   std::deque<DepRec> dep_arena_;
   std::vector<LoopRec> loop_recs_;
   std::unordered_map<SyncKey, DepRec*, trace::SyncKeyHash> advances_;
-  std::unordered_map<AwaitBKey, AwaitBRec, AwaitBKeyHash> awaitbs_;
+  AwaitBMap awaitbs_;
   std::unordered_map<trace::ObjectId, std::vector<DepRec*>> sem_releases_;
   std::unordered_map<SyncKey, BarrierRec, trace::SyncKeyHash> barriers_;
-
-  // Resolution-side per-processor state.
-  std::vector<SegmentBasis> basis_;
-  std::vector<Tick> last_ta_;
-  std::vector<std::uint8_t> has_last_;
-
-  EventBasedResult stats_;
 };
 
 StreamingReconstructor::StreamingReconstructor(

@@ -19,6 +19,14 @@
 //
 // The result is a *conservative approximation*: a feasible execution whose
 // total order of dependent events matches the measured one (§4.1).
+//
+// Two entry points share one retiming body, so each dependency rule is
+// written once: event_based_approximation() answers every event's
+// dependencies from the trace's TraceIndex (the analyst path), and
+// StreamingReconstructor answers them from small lookaside records kept as
+// the trace streams by, in O(window) memory.  Both emit the approximated
+// trace through the same (t_a, measured index) merge of per-processor
+// chains, and both diagnose a dependency cycle with the same CheckError.
 #pragma once
 
 #include <cstddef>
@@ -111,7 +119,7 @@ class CollectSink final : public StreamSink {
 };
 
 /// Windowed event-based reconstructor: consumes the measured trace in
-/// chunks, resolves the same dependency models as the batch Reconstructor
+/// chunks, resolves events with the batch reconstructor's retiming body
 /// retire-as-you-go, and spills completed per-processor segments to a
 /// StreamSink with O(window + live sync state) resident events.
 ///

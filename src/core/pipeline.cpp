@@ -377,7 +377,7 @@ PipelineResult AnalysisPipeline::run(AcquireOutcome acquired,
   std::optional<TraceIndex> index;
   {
     const support::PhaseTimer timer(kPhaseIndex);
-    index.emplace(result.acquire.measured, pool);
+    index.emplace(result.acquire.measured);
   }
   run_analyzers(result, *index, actual, pool);
   return result;
@@ -409,7 +409,7 @@ PipelineResult AnalysisPipeline::run_fused(
     if (builder != nullptr)
       index.emplace(std::move(*builder).seal(outcome.measured));
     else
-      index.emplace(outcome.measured, pool);
+      index.emplace(outcome.measured);
   }
   {
     const support::PhaseTimer timer(kPhaseTriage);
@@ -432,7 +432,7 @@ PipelineResult AnalysisPipeline::run_fused(
   std::optional<TraceIndex> repaired_index;
   {
     const support::PhaseTimer timer(kPhaseIndex);
-    repaired_index.emplace(degraded.acquire.measured, pool);
+    repaired_index.emplace(degraded.acquire.measured);
   }
   run_analyzers(degraded, *repaired_index, actual, pool);
   return degraded;

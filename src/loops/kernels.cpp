@@ -156,13 +156,16 @@ double k5(D& d) {
   return checksum(d.x, n);
 }
 
-// Kernel 6 — general linear recurrence equations.
+// Kernel 6 — general linear recurrence equations.  The y subscript strides
+// by 8 up to 8 * (min(n, 64) - 1) and wraps at y's length, which only small
+// data sizes (n < 441) reach.
 double k6(D& d) {
   const I n = std::min<I>(d.n(), 64);  // O(n^2); classic uses n=64
+  const std::size_t ny = d.y.size();
   for (I i = 1; i < n; ++i) {
     double s = 0.0;
     for (I j = 0; j < i; ++j)
-      s += d.zx[size_t(j)] * d.y[size_t((i - j) * 8 % (n * 8 - 1))];
+      s += d.zx[size_t(j)] * d.y[size_t((i - j) * 8) % ny];
     d.w[size_t(i)] = d.w[size_t(i)] + 0.01 + s;
   }
   return checksum(d.w, n);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.hpp"
-#include "support/parallel.hpp"
 #include "support/text.hpp"
 
 namespace perturb::trace {
@@ -25,212 +24,54 @@ void TraceIndex::require_indexable(std::size_t events) {
                     events));
 }
 
-TraceIndex::TraceIndex(const Trace& trace) : trace_(&trace) {
-  build(nullptr);
-}
+TraceIndex::TraceIndex(const Trace& trace)
+    : TraceIndex(IncrementalTraceIndex(trace).seal(trace)) {}
 
-TraceIndex::TraceIndex(const Trace& trace, support::TaskPool& pool)
-    : trace_(&trace) {
-  build(&pool);
-}
+TraceIndex::TraceIndex(const Trace& trace, support::TaskPool&)
+    : TraceIndex(trace) {}
 
-// Batch builder.  Two independent scans (per-processor chains by counting
-// sort; one structural pass for sync/loop/iteration tables), then three
-// independent table sorts.  ProcId is 16-bit, so proc-indexed vectors
-// replace per-event hash lookups; duplicate advances are found in one pass
-// over the sorted advance table (entries after the first of an equal-key
-// run, restored to trace order).  Every answer matches the committed digests
-// of the original map-based builder (tests/golden_digests.hpp).
-void TraceIndex::build(support::TaskPool* pool) {
-  const Trace& trace = *trace_;
-  const std::size_t n = trace.size();
-  require_indexable(n);
-  prev_on_proc_.resize(n);
-
-  std::vector<std::pair<SyncKey, std::size_t>> advance_entries;
-  std::vector<std::pair<AwaitKey, std::size_t>> await_entries;
-
-  auto build_chains = [&] {
-    std::vector<std::size_t> counts;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t p = trace[i].proc;
-      if (counts.size() <= p) counts.resize(p + 1u, 0);
-      ++counts[p];
-    }
-    proc_events_.resize(counts.size());
-    for (std::size_t p = 0; p < counts.size(); ++p)
-      proc_events_[p].reserve(counts[p]);
-    std::vector<std::uint32_t> last(counts.size(), kNone32);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t p = trace[i].proc;
-      const auto i32 = static_cast<std::uint32_t>(i);
-      prev_on_proc_[i] = last[p];
-      last[p] = i32;
-      proc_events_[p].push_back(i32);
-    }
-  };
-
-  auto build_structure = [&] {
-    std::unordered_map<ObjectId, std::size_t> last_release;
-    std::unordered_map<ObjectId, std::size_t> sem_acquire_count;
-    std::vector<std::size_t> open_iter;    // by proc; npos = none open
-    std::vector<std::size_t> joined_loop;  // by proc; loop ordinal + 1
-    std::size_t open_loop = npos;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const Event& e = trace[i];
-
-      // Fork tracking: inside a parallel-loop episode, a processor's first
-      // event depends on the loop's spawn, not on that processor's previous
-      // event (it was idle through the master's sequential section).
-      if (e.kind == EventKind::kLoopBegin) {
-        open_loop = loops_.size();
-        loops_.push_back({i, npos, e.object, e.proc});
-        if (joined_loop.size() <= e.proc) joined_loop.resize(e.proc + 1u, 0);
-        joined_loop[e.proc] = open_loop + 1;  // master's chain covers it
-      } else if (e.kind == EventKind::kLoopEnd) {
-        if (open_loop != npos) loops_[open_loop].end_index = i;
-        open_loop = npos;
-      } else if (open_loop != npos) {
-        if (joined_loop.size() <= e.proc) joined_loop.resize(e.proc + 1u, 0);
-        if (joined_loop[e.proc] != open_loop + 1) {
-          joined_loop[e.proc] = open_loop + 1;
-          set_entry(fork_dep_, n, i, loops_[open_loop].begin_index);
-        }
-      }
-
-      const SyncKey key{e.object, e.payload};
-      switch (e.kind) {
-        case EventKind::kAdvance:
-          advance_entries.emplace_back(key, i);
-          break;
-        case EventKind::kAwaitBegin:
-          await_entries.emplace_back(AwaitKey{key, e.proc}, i);
-          break;
-        case EventKind::kLockAcquire: {
-          const auto lr = last_release.find(e.object);
-          if (lr != last_release.end()) set_entry(lock_dep_, n, i, lr->second);
-          break;
-        }
-        case EventKind::kLockRelease:
-          last_release[e.object] = i;
-          break;
-        case EventKind::kSemAcquire:
-          set_entry(sem_ordinal_, n, i, sem_acquire_count[e.object]++);
-          break;
-        case EventKind::kSemRelease:
-          sem_releases_[e.object].push_back(i);
-          break;
-        case EventKind::kBarrierArrive:
-        case EventKind::kBarrierDepart: {
-          const auto [it, inserted] =
-              barrier_slot_.insert({key, barriers_.size()});
-          if (inserted) barriers_.push_back({key, {}, {}});
-          BarrierEpisode& ep = barriers_[it->second];
-          (e.kind == EventKind::kBarrierArrive ? ep.arrivals : ep.departs)
-              .push_back(i);
-          break;
-        }
-        case EventKind::kIterBegin: {
-          if (open_iter.size() <= e.proc) open_iter.resize(e.proc + 1u, npos);
-          open_iter[e.proc] = iters_.size();
-          iters_.push_back({i, npos, e.payload, e.object, e.proc});
-          break;
-        }
-        case EventKind::kIterEnd: {
-          if (e.proc < open_iter.size() && open_iter[e.proc] != npos) {
-            iters_[open_iter[e.proc]].end_index = i;
-            open_iter[e.proc] = npos;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(2, [&](std::size_t task) {
-      if (task == 0)
-        build_chains();
-      else
-        build_structure();
-    });
-  } else {
-    build_chains();
-    build_structure();
-  }
-
-  finish_tables(advance_entries, await_entries, pool);
-}
-
-// Shared by build() and IncrementalTraceIndex::seal().
+// Sorts the collected advance/await entries by key then trace index and
+// splits them into parallel key/index arrays, so per-key occurrence lists
+// are contiguous ascending slices of the index array.
 void TraceIndex::finish_tables(
     std::vector<std::pair<SyncKey, std::size_t>>& advance_entries,
-    std::vector<std::pair<AwaitKey, std::size_t>>& await_entries,
-    support::TaskPool* pool) {
-  // Flat tables: sort by key then trace index, then split into parallel
-  // key/index arrays so per-key occurrence lists are contiguous ascending
-  // slices of the index array.
+    std::vector<std::pair<AwaitKey, std::size_t>>& await_entries) {
   const auto by_key_then_index = [](const auto& a, const auto& b) {
     if (!(a.first == b.first)) return a.first < b.first;
     return a.second < b.second;
   };
 
-  auto finish_advances = [&] {
-    std::sort(advance_entries.begin(), advance_entries.end(),
-              by_key_then_index);
-    advance_keys_.reserve(advance_entries.size());
-    advance_idx_.reserve(advance_entries.size());
-    for (const auto& [key, idx] : advance_entries) {
-      advance_keys_.push_back(key);
-      advance_idx_.push_back(idx);
-    }
-    // Duplicates: within an equal-key run every entry after the first
-    // repeats an earlier advance; runs are ascending in trace index, so
-    // sorting the collected indices restores trace order.
-    for (std::size_t k = 1; k < advance_entries.size(); ++k)
-      if (advance_entries[k].first == advance_entries[k - 1].first)
-        duplicate_advances_.push_back(advance_entries[k].second);
-    std::sort(duplicate_advances_.begin(), duplicate_advances_.end());
-  };
-
-  auto finish_awaits = [&] {
-    std::sort(await_entries.begin(), await_entries.end(), by_key_then_index);
-    await_keys_.reserve(await_entries.size());
-    await_idx_.reserve(await_entries.size());
-    for (const auto& [key, idx] : await_entries) {
-      await_keys_.push_back(key);
-      await_idx_.push_back(idx);
-    }
-  };
-
-  auto finish_barriers = [&] {
-    // Barrier episodes in deterministic (object, payload) order.
-    std::sort(barriers_.begin(), barriers_.end(),
-              [](const BarrierEpisode& a, const BarrierEpisode& b) {
-                return a.key < b.key;
-              });
-    barrier_slot_.clear();
-    for (std::size_t s = 0; s < barriers_.size(); ++s)
-      barrier_slot_[barriers_[s].key] = s;
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(3, [&](std::size_t task) {
-      if (task == 0)
-        finish_advances();
-      else if (task == 1)
-        finish_awaits();
-      else
-        finish_barriers();
-    });
-  } else {
-    finish_advances();
-    finish_awaits();
-    finish_barriers();
+  std::sort(advance_entries.begin(), advance_entries.end(), by_key_then_index);
+  advance_keys_.reserve(advance_entries.size());
+  advance_idx_.reserve(advance_entries.size());
+  for (const auto& [key, idx] : advance_entries) {
+    advance_keys_.push_back(key);
+    advance_idx_.push_back(idx);
   }
+  // Duplicates: within an equal-key run every entry after the first repeats
+  // an earlier advance; runs are ascending in trace index, so sorting the
+  // collected indices restores trace order.
+  for (std::size_t k = 1; k < advance_entries.size(); ++k)
+    if (advance_entries[k].first == advance_entries[k - 1].first)
+      duplicate_advances_.push_back(advance_entries[k].second);
+  std::sort(duplicate_advances_.begin(), duplicate_advances_.end());
+
+  std::sort(await_entries.begin(), await_entries.end(), by_key_then_index);
+  await_keys_.reserve(await_entries.size());
+  await_idx_.reserve(await_entries.size());
+  for (const auto& [key, idx] : await_entries) {
+    await_keys_.push_back(key);
+    await_idx_.push_back(idx);
+  }
+
+  // Barrier episodes in deterministic (object, payload) order.
+  std::sort(barriers_.begin(), barriers_.end(),
+            [](const BarrierEpisode& a, const BarrierEpisode& b) {
+              return a.key < b.key;
+            });
+  barrier_slot_.clear();
+  for (std::size_t s = 0; s < barriers_.size(); ++s)
+    barrier_slot_[barriers_[s].key] = s;
 }
 
 std::span<const std::uint32_t> TraceIndex::events_of(ProcId proc) const {
@@ -272,18 +113,36 @@ const TraceIndex::BarrierEpisode* TraceIndex::barrier_episode(
   return it == barrier_slot_.end() ? nullptr : &barriers_[it->second];
 }
 
-// Per-event transition of build()'s two scans (chains + structure), with the
-// scan locals held as members so the state survives between chunks.  A lazy
-// table grows with the trace once allocated; its first entry allocates it
-// over the events appended so far (event i included).
+// Presized for `trace`: one counting pass sizes the per-processor lists, and
+// the per-event tables (the lazy ones on their first entry) are allocated at
+// the trace's length, so the batch index holds no growth slack.
+IncrementalTraceIndex::IncrementalTraceIndex(const Trace& trace)
+    : expected_(trace.size()) {
+  TraceIndex::require_indexable(trace.size());
+  std::vector<std::size_t> counts;
+  for (const Event& e : trace) {
+    if (counts.size() <= e.proc) counts.resize(e.proc + 1u, 0);
+    ++counts[e.proc];
+  }
+  index_.prev_on_proc_.reserve(trace.size());
+  index_.proc_events_.resize(counts.size());
+  for (std::size_t p = 0; p < counts.size(); ++p)
+    index_.proc_events_[p].reserve(counts[p]);
+  last_on_proc_.assign(counts.size(), TraceIndex::kNone32);
+  append(trace.events().data(), trace.size());
+}
+
+// The index's per-event transition; the scan state lives in members so it
+// survives between chunks.  A lazy table is allocated on its first entry
+// over max(events so far, expected length) entries; when streaming it grows
+// at its later entries, and seal() extends it to the trace's length.
 void IncrementalTraceIndex::append(const Event& e) {
   TraceIndex& x = index_;
   const std::size_t i = x.prev_on_proc_.size();
   TraceIndex::require_indexable(i + 1);
   constexpr std::size_t npos = TraceIndex::npos;
   constexpr std::uint32_t kNone32 = TraceIndex::kNone32;
-  for (auto* table : {&x.fork_dep_, &x.lock_dep_, &x.sem_ordinal_})
-    if (!table->empty()) table->push_back(kNone32);
+  const std::size_t table_size = std::max(i + 1, expected_);
 
   // Per-processor chain.
   const std::size_t p = e.proc;
@@ -294,25 +153,15 @@ void IncrementalTraceIndex::append(const Event& e) {
   last_on_proc_[p] = i32;
   x.proc_events_[p].push_back(i32);
 
-  // Fork tracking: inside a parallel-loop episode, a processor's first
-  // event depends on the loop's spawn, not on that processor's previous
-  // event (it was idle through the master's sequential section).
-  if (e.kind == EventKind::kLoopBegin) {
-    open_loop_ = x.loops_.size();
+  const std::size_t closing = forks_.open_loop();
+  const std::size_t fork = forks_.step(e);
+  if (e.kind == EventKind::kLoopBegin)
     x.loops_.push_back({i, npos, e.object, e.proc});
-    if (joined_loop_.size() <= e.proc) joined_loop_.resize(e.proc + 1u, 0);
-    joined_loop_[e.proc] = open_loop_ + 1;  // master's chain covers it
-  } else if (e.kind == EventKind::kLoopEnd) {
-    if (open_loop_ != npos) x.loops_[open_loop_].end_index = i;
-    open_loop_ = npos;
-  } else if (open_loop_ != npos) {
-    if (joined_loop_.size() <= e.proc) joined_loop_.resize(e.proc + 1u, 0);
-    if (joined_loop_[e.proc] != open_loop_ + 1) {
-      joined_loop_[e.proc] = open_loop_ + 1;
-      TraceIndex::set_entry(x.fork_dep_, i + 1, i,
-                            x.loops_[open_loop_].begin_index);
-    }
-  }
+  else if (e.kind == EventKind::kLoopEnd && closing != npos)
+    x.loops_[closing].end_index = i;
+  else if (fork != npos)
+    TraceIndex::set_entry(x.fork_dep_, table_size, i,
+                          x.loops_[fork].begin_index);
 
   const SyncKey key{e.object, e.payload};
   switch (e.kind) {
@@ -325,14 +174,14 @@ void IncrementalTraceIndex::append(const Event& e) {
     case EventKind::kLockAcquire: {
       const auto lr = last_release_.find(e.object);
       if (lr != last_release_.end())
-        TraceIndex::set_entry(x.lock_dep_, i + 1, i, lr->second);
+        TraceIndex::set_entry(x.lock_dep_, table_size, i, lr->second);
       break;
     }
     case EventKind::kLockRelease:
       last_release_[e.object] = i;
       break;
     case EventKind::kSemAcquire:
-      TraceIndex::set_entry(x.sem_ordinal_, i + 1, i,
+      TraceIndex::set_entry(x.sem_ordinal_, table_size, i,
                             sem_acquire_count_[e.object]++);
       break;
     case EventKind::kSemRelease:
@@ -370,7 +219,10 @@ TraceIndex IncrementalTraceIndex::seal(const Trace& trace) && {
   PERTURB_CHECK_MSG(trace.size() == size(),
                     "sealed trace does not match the appended events");
   index_.trace_ = &trace;
-  index_.finish_tables(advance_entries_, await_entries_, nullptr);
+  for (auto* table : {&index_.fork_dep_, &index_.lock_dep_,
+                      &index_.sem_ordinal_})
+    if (!table->empty()) table->resize(size(), TraceIndex::kNone32);
+  index_.finish_tables(advance_entries_, await_entries_);
   return std::move(index_);
 }
 

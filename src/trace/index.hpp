@@ -2,15 +2,17 @@
 //
 // Each analyzer used to rebuild its own per-processor chains, advance/await
 // pairings, lock hand-off order, barrier episodes, and loop spans with
-// private std::map scans.  The index is built once per trace — a counting
-// sort of the per-processor chains plus one structural scan, then one sort
-// per flat synchronization table; the two scans (and the three sorts) can
-// run as parallel tasks on a support::TaskPool — and answers the structural
-// queries all of them need:
+// private std::map scans.  The index is built once per trace by one
+// per-event transition (IncrementalTraceIndex::append) followed by one sort
+// per flat synchronization table; a whole-trace build runs the same
+// transition over every event with its tables presized, and a streaming
+// load runs it chunk by chunk.  It answers the structural queries all the
+// analyses need:
 //
 //   * per-processor event ranges and previous-event chains,
 //   * fork dependencies (a processor's first event inside a parallel-loop
-//     episode is caused by the loop's spawn),
+//     episode is caused by the loop's spawn; ForkScan is that rule's
+//     transition, shared with the streaming reconstructor),
 //   * advance / awaitB occurrence lists per synchronization key (flat sorted
 //     tables, duplicates preserved in trace order),
 //   * lock hand-off order (each acquire's preceding release),
@@ -27,7 +29,7 @@
 // semaphore dependencies, per-processor event lists) store 32-bit trace
 // indices, 4 B per event each, and the accessors widen them back to size_t
 // (npos maps both ways).  A trace therefore holds fewer than 2^32 - 1
-// events; both builders reject a longer one with a CheckError.  The fork,
+// events; the builder rejects a longer one with a CheckError.  The fork,
 // lock and semaphore tables are allocated only when the trace has an entry
 // for them (a loop-spawned first event, a handed-off lock acquisition, a
 // semaphore acquisition); until then they stay empty and answer npos.
@@ -59,8 +61,8 @@ class TraceIndex {
   /// 32-bit indices and reserve the all-ones value for npos.
   static constexpr std::size_t kMaxEvents = 0xffffffffu;
 
-  /// Throws CheckError (one line) when `events` >= kMaxEvents.  Both
-  /// builders call it before they index an event.
+  /// Throws CheckError (one line) when `events` >= kMaxEvents.  The
+  /// builder calls it before it indexes an event.
   static void require_indexable(std::size_t events);
 
   /// Ascending trace indices of one key's occurrences (a view into the
@@ -108,9 +110,8 @@ class TraceIndex {
 
   explicit TraceIndex(const Trace& trace);
 
-  /// Builds with the per-processor chain scan and the structural sync-table
-  /// scan (then the three flat-table sorts) running as independent tasks on
-  /// `pool`.  Bit-identical to the serial build at any pool size.
+  /// Same as TraceIndex(trace); the pool is unused.  Kept for callers
+  /// outside the library that still pass one.
   TraceIndex(const Trace& trace, support::TaskPool& pool);
 
   const Trace& trace() const noexcept { return *trace_; }
@@ -219,8 +220,6 @@ class TraceIndex {
   TraceIndex() : trace_(nullptr) {}
   friend class IncrementalTraceIndex;
 
-  void build(support::TaskPool* pool);
-
   /// 32-bit table entry <-> size_t answer; the all-ones entry is npos.
   static constexpr std::uint32_t kNone32 = 0xffffffffu;
   static std::size_t widen(std::uint32_t v) noexcept {
@@ -234,11 +233,11 @@ class TraceIndex {
                             std::size_t i) {
     return table.empty() ? npos : widen(table[i]);
   }
-  /// Sets entry i of a lazily allocated table of `size` entries, allocating
-  /// it (all npos) on its first entry.
+  /// Sets entry i of a lazily allocated table: its first entry allocates it
+  /// (all npos) over `size` entries, a later one past its end grows it.
   static void set_entry(std::vector<std::uint32_t>& table, std::size_t size,
                         std::size_t i, std::size_t value) {
-    if (table.empty()) table.assign(size, kNone32);
+    if (table.size() <= i) table.resize(size, kNone32);
     table[i] = narrow(value);
   }
 
@@ -252,13 +251,11 @@ class TraceIndex {
     }
   };
 
-  /// Shared table finisher: sorts the collected advance/await entries into
-  /// the flat key/index arrays, extracts duplicate advances, and orders the
-  /// barrier episodes.  Used by build() and by IncrementalTraceIndex::seal()
-  /// so both construction paths produce identical tables.
+  /// Table finisher run by IncrementalTraceIndex::seal(): sorts the
+  /// collected advance/await entries into the flat key/index arrays,
+  /// extracts duplicate advances, and orders the barrier episodes.
   void finish_tables(std::vector<std::pair<SyncKey, std::size_t>>& advances,
-                     std::vector<std::pair<AwaitKey, std::size_t>>& awaits,
-                     support::TaskPool* pool);
+                     std::vector<std::pair<AwaitKey, std::size_t>>& awaits);
 
   const Trace* trace_;
   std::vector<std::uint32_t> prev_on_proc_;
@@ -283,13 +280,51 @@ class TraceIndex {
   std::unordered_map<SyncKey, std::size_t, SyncKeyHash> barrier_slot_;
 };
 
-/// Incremental TraceIndex builder for streaming loads: append events as
-/// chunks arrive, then seal() into the immutable index.  Each append runs
-/// the same per-event transition as build()'s two scans; seal() runs the
-/// same table finishers — so the sealed index is identical (every query
-/// answers the same, and the lazy tables are allocated exactly when the
-/// batch build allocates them) to a TraceIndex built over the complete
-/// trace in one shot.  append() throws CheckError once the appended events
+/// The fork rule's per-event transition: inside a parallel-loop episode, a
+/// processor's first event depends on the loop's spawn, not on that
+/// processor's previous event (it was idle through the master's sequential
+/// section).  Shared by the index builder and the streaming reconstructor.
+class ForkScan {
+ public:
+  /// Advances over the next event in trace order.  Returns the 0-based
+  /// ordinal (among LoopBegins) of the episode `e` is forked from, npos
+  /// when `e` has no fork dependency.
+  std::size_t step(const Event& e) {
+    if (e.kind == EventKind::kLoopBegin) {
+      open_loop_ = loops_++;
+      join(e.proc, loops_);  // the master's chain covers the spawn
+      return TraceIndex::npos;
+    }
+    if (e.kind == EventKind::kLoopEnd) open_loop_ = TraceIndex::npos;
+    if (open_loop_ == TraceIndex::npos || joined(e.proc) == open_loop_ + 1)
+      return TraceIndex::npos;
+    join(e.proc, open_loop_ + 1);
+    return open_loop_;
+  }
+
+  /// Ordinal of the episode in progress; npos outside one.
+  std::size_t open_loop() const noexcept { return open_loop_; }
+
+ private:
+  std::size_t joined(ProcId p) const {
+    return p < joined_.size() ? joined_[p] : 0;
+  }
+  void join(ProcId p, std::size_t ordinal_plus_one) {
+    if (joined_.size() <= p) joined_.resize(p + 1u, 0);
+    joined_[p] = ordinal_plus_one;
+  }
+
+  std::vector<std::size_t> joined_;  ///< by proc; last joined ordinal + 1
+  std::size_t open_loop_ = TraceIndex::npos;
+  std::size_t loops_ = 0;  ///< LoopBegins seen
+};
+
+/// The TraceIndex builder.  append() is the index's per-event transition;
+/// seal() runs the table finishers.  A streaming load appends events as
+/// chunks arrive; TraceIndex(trace) appends a whole trace to a builder
+/// presized for it.  Either way the sealed index answers every query the
+/// same, and its lazy tables are allocated exactly when the trace has an
+/// entry for them.  append() throws CheckError once the appended events
 /// would reach TraceIndex::kMaxEvents.
 class IncrementalTraceIndex {
  public:
@@ -309,17 +344,21 @@ class IncrementalTraceIndex {
   TraceIndex seal(const Trace& trace) &&;
 
  private:
+  friend class TraceIndex;
+  /// Appends all of `trace` with every table presized to its length.
+  explicit IncrementalTraceIndex(const Trace& trace);
+
   TraceIndex index_;
+  std::size_t expected_ = 0;  ///< presized length; 0 when streaming
   std::vector<std::pair<SyncKey, std::size_t>> advance_entries_;
   std::vector<std::pair<TraceIndex::AwaitKey, std::size_t>> await_entries_;
 
-  // Scan state carried between appends (the locals of build()'s two scans).
+  // Scan state carried between appends.
   std::vector<std::uint32_t> last_on_proc_;
   std::unordered_map<ObjectId, std::size_t> last_release_;
   std::unordered_map<ObjectId, std::size_t> sem_acquire_count_;
-  std::vector<std::size_t> open_iter_;    // by proc; npos = none open
-  std::vector<std::size_t> joined_loop_;  // by proc; loop ordinal + 1
-  std::size_t open_loop_ = TraceIndex::npos;
+  std::vector<std::size_t> open_iter_;  // by proc; npos = none open
+  ForkScan forks_;
 };
 
 }  // namespace perturb::trace

@@ -4,14 +4,18 @@
 // the dependent-loop scenarios that defeat time-based analysis.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 
 #include "core/eventbased.hpp"
 #include "core/timebased.hpp"
+#include "golden_cases.hpp"
+#include "golden_digests.hpp"
 #include "instr/plan.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace_stats.hpp"
 #include "trace/validate.hpp"
+#include "trace_digest.hpp"
 
 namespace perturb::core {
 namespace {
@@ -339,6 +343,22 @@ TEST(EventBased, LockContentionFromProbesRemoved) {
   EXPECT_NEAR(total_ratio(run_result.result.approx, run_result.actual), 1.0,
               0.15);
   EXPECT_TRUE(trace::validate(run_result.result.approx).empty());
+}
+
+// The batch reconstruction of every golden index trace — Livermore chains,
+// locks, capacity-declared semaphores, barrier phases and a duplicate
+// advance — digests to the committed value (golden_digests.hpp).
+TEST(EventBased, MatchesCommittedDigests) {
+  const auto cases = golden::approx_cases();
+  ASSERT_EQ(cases.size(), std::size(golden::kApproxDigests));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const golden::ApproxCase& c = cases[i];
+    ASSERT_EQ(c.label, golden::kApproxDigests[i].label);
+    const std::uint64_t got = trace::approx_digest(
+        event_based_approximation(c.measured, c.overheads, c.options));
+    EXPECT_EQ(got, golden::kApproxDigests[i].value)
+        << c.label << ": 0x" << std::hex << got;
+  }
 }
 
 // ---- error handling ----------------------------------------------------

@@ -8,7 +8,8 @@
 // runs its InterferenceHook through the virtual-hook instantiation).  The
 // index traces cover Livermore DOACROSS chains at 1/2/8 processors, lock,
 // semaphore and multi-phase barrier workloads, and a fault-injected trace
-// with a duplicate advance.
+// with a duplicate advance; the approximation cases reconstruct those same
+// traces with the plan's mean probe costs and the machine's sync costs.
 //
 // Each case carries a unique label; the digest tables are keyed on it.
 #pragma once
@@ -18,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/eventbased.hpp"
+#include "experiments/experiments.hpp"
 #include "instr/plan.hpp"
 #include "loops/programs.hpp"
 #include "sim/engine.hpp"
@@ -290,6 +293,32 @@ inline std::vector<std::pair<std::string, trace::Trace>> index_traces() {
   out.emplace_back("duplicate-advance",
                    trace::inject_violation(
                        out[2].second, trace::ViolationKind::kDuplicateAdvance));
+  return out;
+}
+
+/// One event-based reconstruction whose result the approximation digests
+/// pin: an index trace with the overheads and options it is analyzed with.
+struct ApproxCase {
+  std::string label;
+  trace::Trace measured;
+  core::AnalysisOverheads overheads;
+  core::EventBasedOptions options;
+};
+
+/// The index traces, each with full_plan()'s mean probe costs and its
+/// machine's calibrated sync costs; the semaphore trace also carries its
+/// program's declared capacities.
+inline std::vector<ApproxCase> approx_cases() {
+  std::vector<ApproxCase> out;
+  for (auto& [label, measured] : index_traces()) {
+    ApproxCase c{label, std::move(measured), {}, {}};
+    c.overheads = experiments::overheads_for(
+        full_plan(), machine(c.measured.info().num_procs));
+    if (label == "semaphore")
+      c.options.semaphore_capacity = workload::semaphore_capacities(
+          workload_program(workload::Family::kContention, 0.0, 0.6));
+    out.push_back(std::move(c));
+  }
   return out;
 }
 

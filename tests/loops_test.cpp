@@ -24,6 +24,19 @@ TEST(Kernels, AllKernelsRunAndProduceFiniteChecksums) {
   }
 }
 
+// Every kernel stays inside its workspace at small data sizes too: under
+// AddressSanitizer an out-of-bounds subscript fails this test.
+TEST(Kernels, AllKernelsRunAtSmallDataSizes) {
+  for (const std::int64_t n : {32, 64, 120, 440}) {
+    LfkData data(n);
+    for (int k = 1; k <= kNumKernels; ++k) {
+      data.reset();
+      EXPECT_TRUE(std::isfinite(run_kernel(k, data)))
+          << "kernel " << k << " n " << n;
+    }
+  }
+}
+
 TEST(Kernels, DeterministicAcrossRuns) {
   LfkData a(1001, 42);
   LfkData b(1001, 42);

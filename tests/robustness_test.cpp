@@ -8,6 +8,7 @@
 
 #include <new>
 #include <stdexcept>
+#include <string>
 
 #include "../tools/tool_util.hpp"
 #include "core/eventbased.hpp"
@@ -100,7 +101,28 @@ TEST(Robustness, CrossedAwaitPairingDeadlockDetected) {
   ev(50, 1, EventKind::kAwaitEnd, 0);   // depends on advance(0) below
   ev(60, 0, EventKind::kAdvance, 0);    // after the awaitE that needs it
   ev(60, 1, EventKind::kAdvance, 1);
-  EXPECT_THROW(event_based_approximation(m, {}), CheckError);
+
+  // Both entry points diagnose the cycle with the same one-line error.
+  std::string batch_error;
+  std::string stream_error;
+  try {
+    event_based_approximation(m, {});
+  } catch (const CheckError& e) {
+    batch_error = e.what();
+  }
+  CollectSink sink;
+  StreamingReconstructor recon({}, {}, 1024, sink);
+  recon.push(m.events());
+  try {
+    recon.finish();
+  } catch (const CheckError& e) {
+    stream_error = e.what();
+  }
+  EXPECT_NE(batch_error.find("deadlocked with 4 unresolved events"),
+            std::string::npos)
+      << batch_error;
+  EXPECT_EQ(batch_error.find('\n'), std::string::npos);
+  EXPECT_EQ(stream_error, batch_error);
 }
 
 TEST(Robustness, ZeroLengthTrace) {

@@ -13,7 +13,9 @@
 //   * the windowed StreamingReconstructor reproduces the batch event-based
 //     approximation bit for bit — including when an await's partner advance
 //     lands in a later window, when the final chunk is torn, and across the
-//     Livermore grid {3,4,17} x {1,2,8} processors under fault injection;
+//     Livermore grid {3,4,17} x {1,2,8} processors under fault injection —
+//     and digests to the committed batch reconstruction of every golden
+//     index trace;
 //   * AnalysisPipeline::run_stream_file matches run_file's event-based
 //     output and publishes the pipeline.stream.* metrics;
 //   * run_sealed (the server's prebuilt-index entry) matches run.
@@ -22,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -454,6 +457,30 @@ TEST(StreamingReconstructor, MatchesBatchAcrossLivermoreGrid) {
       const Trace streamed = sink.take(run.measured.info());
       EXPECT_EQ(streamed.events(), oracle.events())
           << "loop " << loop << " procs " << procs;
+    }
+  }
+}
+
+// The streamed reconstruction of every golden index trace digests to the
+// committed batch value, so neither reconstructor is the other's only
+// oracle.  Small windows force dependencies across drain boundaries.
+TEST(StreamingReconstructor, MatchesCommittedDigests) {
+  const auto cases = golden::approx_cases();
+  ASSERT_EQ(cases.size(), std::size(golden::kApproxDigests));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const golden::ApproxCase& c = cases[i];
+    ASSERT_EQ(c.label, golden::kApproxDigests[i].label);
+    for (const std::size_t window : {std::size_t{64}, trace::kChunkEvents}) {
+      CollectSink sink;
+      StreamingReconstructor recon(c.overheads, c.options, window, sink);
+      for (std::size_t off = 0; off < c.measured.size(); off += 97)
+        recon.push(c.measured.events().data() + off,
+                   std::min<std::size_t>(97, c.measured.size() - off));
+      core::EventBasedResult result = recon.finish();
+      result.approx = sink.take(c.measured.info());
+      const std::uint64_t got = trace::approx_digest(result);
+      EXPECT_EQ(got, golden::kApproxDigests[i].value)
+          << c.label << " window " << window << ": 0x" << std::hex << got;
     }
   }
 }

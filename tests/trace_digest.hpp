@@ -1,7 +1,7 @@
-// Golden digests: 64-bit FNV-1a fingerprints of a simulated trace and of a
-// TraceIndex's answers, so a bit-identity contract can be pinned against a
-// committed table instead of a slower copy of the algorithm kept alive to
-// compare against.
+// Golden digests: 64-bit FNV-1a fingerprints of a simulated trace, of a
+// TraceIndex's answers and of an event-based reconstruction, so a
+// bit-identity contract can be pinned against a committed table instead of
+// a slower copy of the algorithm kept alive to compare against.
 //
 // Every value is folded in as a fixed-width integer, field by field.  Raw
 // struct bytes are never hashed: Event has tail padding whose contents are
@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/eventbased.hpp"
 #include "trace/index.hpp"
 #include "trace/trace.hpp"
 
@@ -101,6 +102,19 @@ inline std::uint64_t index_digest(const TraceIndex& idx, const Trace& t) {
     h.add_list(ep.arrivals);
     h.add_list(ep.departs);
   }
+  return h.value();
+}
+
+/// An event-based reconstruction: the approximated trace's digest, then
+/// the waiting classification.
+inline std::uint64_t approx_digest(const core::EventBasedResult& r) {
+  Fnv64 h;
+  h.add(trace_digest(r.approx));
+  h.add(r.awaits_total);
+  h.add(r.waits_measured);
+  h.add(r.waits_approx);
+  h.add(r.waits_removed);
+  h.add(r.waits_introduced);
   return h.value();
 }
 
