@@ -10,53 +10,11 @@ namespace perturb::analysis {
 
 namespace {
 
-using trace::Event;
 using trace::EventKind;
-using trace::SyncKey;
 using trace::Trace;
 using trace::TraceIndex;
 
 constexpr std::size_t kNone = TraceIndex::npos;
-
-/// Cross-processor critical dependency of event i (mirrors the
-/// reconstruction's model): the last advance before an awaitE, the previous
-/// release before a lock acquisition, the latest arrival before a barrier
-/// departure, or — for a processor's first event inside a parallel-loop
-/// episode — the loop's spawn.  kNone when the event has none.
-std::size_t cross_dep(const TraceIndex& idx, std::size_t i) {
-  const Trace& t = idx.trace();
-  const Event& e = t[i];
-  switch (e.kind) {
-    case EventKind::kAwaitEnd: {
-      const std::size_t adv =
-          idx.last_advance_before(SyncKey{e.object, e.payload}, i);
-      if (adv != kNone) return adv;
-      break;
-    }
-    case EventKind::kLockAcquire: {
-      const std::size_t dep = idx.lock_dep(i);
-      if (dep != kNone) return dep;
-      break;
-    }
-    case EventKind::kBarrierDepart: {
-      const auto* ep = idx.barrier_episode(e.object, e.payload);
-      if (ep != nullptr) {
-        // Latest-by-time arrival before the depart; ties keep the earlier
-        // arrival in trace order.
-        std::size_t best = kNone;
-        for (const std::size_t a : ep->arrivals) {
-          if (a >= i) break;
-          if (best == kNone || t[best].time < t[a].time) best = a;
-        }
-        if (best != kNone) return best;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  return idx.fork_dep(i);
-}
 
 }  // namespace
 
@@ -79,7 +37,12 @@ CriticalPathStats critical_path(const TraceIndex& idx) {
   while (cur != kNone) {
     stats.path.push_back(cur);
     const std::size_t same = idx.prev_on_proc(cur);
-    const std::size_t cross = cross_dep(idx, cur);
+    // The cross dependency that completed last; ties keep the earlier one
+    // in trace order.
+    std::size_t cross = kNone;
+    idx.for_each_cross_dep(cur, [&](std::size_t d) {
+      if (cross == kNone || t[cross].time < t[d].time) cross = d;
+    });
     std::size_t pred = same;
     // The critical predecessor is the dependency that completed last; ties
     // resolve toward the same-processor chain.

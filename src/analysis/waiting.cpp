@@ -1,8 +1,6 @@
 #include "analysis/waiting.hpp"
 
 #include <algorithm>
-#include <map>
-#include <utility>
 
 #include "support/text.hpp"
 
@@ -11,7 +9,6 @@ namespace perturb::analysis {
 using trace::Event;
 using trace::EventKind;
 using trace::ProcId;
-using trace::SyncKey;
 using trace::TraceIndex;
 
 WaitingStats waiting_analysis(const TraceIndex& index,
@@ -24,8 +21,9 @@ WaitingStats waiting_analysis(const TraceIndex& index,
 
   // A begin-marker (awaitB, barrier arrive) is consumed by the first end
   // event that matches it; subsequent ends without a fresh begin find
-  // nothing.  The index supplies the candidates, this map the consumption.
-  std::map<std::pair<SyncKey, ProcId>, std::size_t> consumed;
+  // nothing.  The index supplies the candidates, one bit per event the
+  // consumption, so awaits and barriers never share a state.
+  std::vector<bool> consumed(t.size(), false);
 
   auto add = [&](ProcId proc, Tick begin, Tick end, EventKind cause,
                  trace::ObjectId object) {
@@ -35,27 +33,20 @@ WaitingStats waiting_analysis(const TraceIndex& index,
     stats.intervals.push_back({proc, begin, end, cause, object});
   };
 
-  // Latest unconsumed begin-marker index for (key, proc) before trace
-  // index i; TraceIndex::npos when none.  Marks the result consumed.
-  auto take_begin = [&](SyncKey key, ProcId proc,
-                        std::size_t candidate) -> std::size_t {
-    if (candidate == TraceIndex::npos) return TraceIndex::npos;
-    const auto [it, inserted] =
-        consumed.insert({{key, proc}, candidate});
-    if (!inserted) {
-      if (it->second >= candidate) return TraceIndex::npos;
-      it->second = candidate;
-    }
+  // The candidate begin-marker if it is still unconsumed (marking it
+  // consumed), else TraceIndex::npos.
+  auto take_begin = [&](std::size_t candidate) -> std::size_t {
+    if (candidate == TraceIndex::npos || consumed[candidate])
+      return TraceIndex::npos;
+    consumed[candidate] = true;
     return candidate;
   };
 
   for (std::size_t i = 0; i < t.size(); ++i) {
     const Event& e = t[i];
-    const SyncKey key{e.object, e.payload};
     switch (e.kind) {
       case EventKind::kAwaitEnd: {
-        const std::size_t ab = take_begin(
-            key, e.proc, index.last_await_begin_before(key, e.proc, i));
+        const std::size_t ab = take_begin(index.await_begin_before(i));
         if (ab != TraceIndex::npos) {
           const Tick begin = t[ab].time;
           if (e.time - begin > c.await_nowait + c.tolerance)
@@ -91,7 +82,7 @@ WaitingStats waiting_analysis(const TraceIndex& index,
             if (t[a].proc == e.proc) arrive = a;
           }
         }
-        arrive = take_begin(key, e.proc, arrive);
+        arrive = take_begin(arrive);
         if (arrive != TraceIndex::npos) {
           const Tick begin = t[arrive].time;
           if (e.time - begin > c.barrier_depart + c.tolerance)

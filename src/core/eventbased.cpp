@@ -318,22 +318,11 @@ class Reconstructor {
       if (!d.is_absent()) d.tm = r.measured_[f].time;
       return d;
     }
-    Dep advance() {
-      // A blocked awaitE is retried every resolution round; cache its
-      // partner lookups so the sync-table binary searches run once per
-      // event instead of once per retry.
-      const Event& e = r.measured_[i];
-      if (r.pending_.size() <= e.proc) r.pending_.resize(e.proc + 1u);
-      PendingAwait& pending = r.pending_[e.proc];
-      if (pending.event != i) {
-        const SyncKey key{e.object, e.payload};
-        pending = {i, r.idx_.last_advance(key),
-                   r.idx_.last_await_begin(key, e.proc)};
-      }
-      return resolved(pending.advance);
-    }
+    // An awaitE's partners: the index answers both in O(1) on traces
+    // without duplicate keys, so a blocked awaitE's retries cost nothing.
+    Dep advance() const { return resolved(r.idx_.last_advance_of(i)); }
     Dep await_begin() const {
-      const std::size_t ab = r.pending_[r.measured_[i].proc].await_begin;
+      const std::size_t ab = r.idx_.last_await_begin_of(i);
       if (ab == kNone) return Dep::absent();
       return Dep::ready(r.t_a_[ab], r.measured_[ab].time);
     }
@@ -390,16 +379,8 @@ class Reconstructor {
   const Trace& measured_;
   Retimer retimer_;
 
-  /// Partner lookups of the awaitE a processor is currently blocked on.
-  struct PendingAwait {
-    std::size_t event = kNone;
-    std::size_t advance = kNone;
-    std::size_t await_begin = kNone;
-  };
-
   std::vector<Tick> t_a_;
   std::vector<std::uint8_t> resolved_;  ///< flat flags; vector<bool> is slower
-  std::vector<PendingAwait> pending_;   ///< per-processor awaitE memo
 };
 
 }  // namespace

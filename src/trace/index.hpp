@@ -4,10 +4,10 @@
 // pairings, lock hand-off order, barrier episodes, and loop spans with
 // private std::map scans.  The index is built once per trace by one
 // per-event transition (IncrementalTraceIndex::append) followed by one sort
-// per flat synchronization table; a whole-trace build runs the same
-// transition over every event with its tables presized, and a streaming
-// load runs it chunk by chunk.  It answers the structural queries all the
-// analyses need:
+// per flat synchronization table (skipped when the table arrived in key
+// order); a whole-trace build runs the same transition over every event
+// with its tables presized, and a streaming load runs it chunk by chunk.
+// It answers the structural queries all the analyses need:
 //
 //   * per-processor event ranges and previous-event chains,
 //   * fork dependencies (a processor's first event inside a parallel-loop
@@ -15,24 +15,31 @@
 //     transition, shared with the streaming reconstructor),
 //   * advance / awaitB occurrence lists per synchronization key (flat sorted
 //     tables, duplicates preserved in trace order),
+//   * each awaitE's partners: the advance it waited for, resolved once
+//     while the index is built, and its awaitB,
 //   * lock hand-off order (each acquire's preceding release),
 //   * counting-semaphore acquire ordinals and release sequences,
 //   * barrier episodes (arrivals/departures per (object, episode)),
-//   * parallel-loop and iteration marker spans.
+//   * parallel-loop and iteration marker spans,
+//
+// and for_each_cross_dep enumerates an event's cross-processor dependencies
+// from them, the one statement of those rules the analyses share.
 //
 // The index never interprets times or applies analysis models; it only
 // records structure, so conservative, liberal, validation, and post-analysis
 // passes can all share it.  It holds a reference to the trace: the trace
 // must outlive the index and must not be mutated while indexed.
 //
-// Footprint.  The per-event tables (same-processor chain, fork, lock and
-// semaphore dependencies, per-processor event lists) store 32-bit trace
-// indices, 4 B per event each, and the accessors widen them back to size_t
-// (npos maps both ways).  A trace therefore holds fewer than 2^32 - 1
-// events; the builder rejects a longer one with a CheckError.  The fork,
-// lock and semaphore tables are allocated only when the trace has an entry
-// for them (a loop-spawned first event, a handed-off lock acquisition, a
-// semaphore acquisition); until then they stay empty and answer npos.
+// Footprint.  The per-event tables (same-processor chain, fork, lock,
+// semaphore and awaited-advance dependencies, per-processor event lists) and
+// the sync tables' index columns store 32-bit trace indices, 4 B per entry,
+// and the accessors widen them back to size_t (npos maps both ways).  A
+// trace therefore holds fewer than 2^32 - 1 events; the builder rejects a
+// longer one with a CheckError.  The fork, lock, semaphore and
+// awaited-advance tables are allocated only when the trace has an entry for
+// them (a loop-spawned first event, a handed-off lock acquisition, a
+// semaphore acquisition, an awaitE with an earlier advance); until then
+// they stay empty and answer npos.
 #pragma once
 
 #include <algorithm>
@@ -66,21 +73,22 @@ class TraceIndex {
   static void require_indexable(std::size_t events);
 
   /// Ascending trace indices of one key's occurrences (a view into the
-  /// index's flat sorted tables).
+  /// 32-bit index column of the index's flat sorted tables).
   class IndexRange {
    public:
     IndexRange() = default;
-    IndexRange(const std::size_t* b, const std::size_t* e) : b_(b), e_(e) {}
-    const std::size_t* begin() const noexcept { return b_; }
-    const std::size_t* end() const noexcept { return e_; }
+    IndexRange(const std::uint32_t* b, const std::uint32_t* e)
+        : b_(b), e_(e) {}
+    const std::uint32_t* begin() const noexcept { return b_; }
+    const std::uint32_t* end() const noexcept { return e_; }
     std::size_t size() const noexcept { return static_cast<std::size_t>(e_ - b_); }
     bool empty() const noexcept { return b_ == e_; }
     std::size_t front() const noexcept { return *b_; }
     std::size_t back() const noexcept { return *(e_ - 1); }
 
    private:
-    const std::size_t* b_ = nullptr;
-    const std::size_t* e_ = nullptr;
+    const std::uint32_t* b_ = nullptr;
+    const std::uint32_t* e_ = nullptr;
   };
 
   /// One parallel-loop episode: LoopBegin event, matching LoopEnd (npos when
@@ -152,7 +160,7 @@ class TraceIndex {
     const auto lo =
         std::lower_bound(advance_keys_.begin(), advance_keys_.end(), key);
     const auto hi = std::upper_bound(lo, advance_keys_.end(), key);
-    const std::size_t* base = advance_idx_.data();
+    const std::uint32_t* base = advance_idx_.data();
     return {base + (lo - advance_keys_.begin()),
             base + (hi - advance_keys_.begin())};
   }
@@ -185,6 +193,97 @@ class TraceIndex {
   std::size_t last_await_begin(SyncKey key, ProcId proc) const;
   std::size_t last_await_begin_before(SyncKey key, ProcId proc,
                                       std::size_t i) const;
+
+  // ---- an awaitE's partners ----------------------------------------------
+  //
+  // Constant-time answers for an awaitE event i, whose key is
+  // (object, payload) of trace()[i].  Each equals the search named in its
+  // comment on every trace; the searches run only where the trace leaves
+  // them no shortcut (duplicate keys, an awaitB that is not the awaitE's
+  // previous event, an awaitE with no earlier advance).
+
+  /// The advance awaitE i waited for: last_advance_before(key, i), resolved
+  /// for every awaitE while the index is built.  npos for other events.
+  std::size_t awaited_advance(std::size_t i) const {
+    return lookup(awaited_advance_, i);
+  }
+  /// i's awaitB: last_await_begin_before(key, proc, i).  O(1) when it is
+  /// i's previous event on its processor.
+  std::size_t await_begin_before(std::size_t i) const {
+    const std::size_t prev = prev_on_proc(i);
+    if (is_await_begin_of(prev, i)) return prev;
+    return last_await_begin_before(key_of(i), (*trace_)[i].proc, i);
+  }
+  /// first_advance(key): O(1) when the trace repeats no advance and i has
+  /// an earlier one.
+  std::size_t first_advance_of(std::size_t i) const {
+    const std::size_t adv = awaited_advance(i);
+    if (adv != npos && unique_advances_) return adv;
+    return first_advance(key_of(i));
+  }
+  /// last_advance(key): O(1) on the same condition.
+  std::size_t last_advance_of(std::size_t i) const {
+    const std::size_t adv = awaited_advance(i);
+    if (adv != npos && unique_advances_) return adv;
+    return last_advance(key_of(i));
+  }
+  /// last_await_begin(key, proc): O(1) when no (key, proc) has two awaitBs
+  /// and i's previous event on its processor is its awaitB.
+  std::size_t last_await_begin_of(std::size_t i) const {
+    const std::size_t prev = prev_on_proc(i);
+    if (unique_await_begins_ && is_await_begin_of(prev, i)) return prev;
+    return last_await_begin(key_of(i), (*trace_)[i].proc);
+  }
+
+  // ---- cross-processor dependencies --------------------------------------
+
+  /// Calls fn(d) for each cross-processor dependency d of event i: the
+  /// advance an awaitE waited for, the hand-off release of a lock
+  /// acquisition, every arrival of a barrier departure's episode before it,
+  /// and otherwise — when the rule for i's kind finds none — the LoopBegin
+  /// that spawned a processor's first event inside a parallel-loop episode.
+  /// Calls nothing when i has none.  The critical path takes the latest of
+  /// them by time; the what-if DAG keeps them all, since re-evaluation can
+  /// change which arrival is latest.  Arrivals come in trace order, which
+  /// both what-if evaluation paths rely on for identical tie-breaks.
+  template <typename Fn>
+  void for_each_cross_dep(std::size_t i, Fn&& fn) const {
+    const Event& e = (*trace_)[i];
+    switch (e.kind) {
+      case EventKind::kAwaitEnd: {
+        const std::size_t adv = awaited_advance(i);
+        if (adv != npos) {
+          fn(adv);
+          return;
+        }
+        break;
+      }
+      case EventKind::kLockAcquire: {
+        const std::size_t dep = lock_dep(i);
+        if (dep != npos) {
+          fn(dep);
+          return;
+        }
+        break;
+      }
+      case EventKind::kBarrierDepart: {
+        const BarrierEpisode* ep = barrier_episode(e.object, e.payload);
+        if (ep != nullptr && !ep->arrivals.empty() &&
+            ep->arrivals.front() < i) {
+          for (const std::size_t a : ep->arrivals) {
+            if (a >= i) break;
+            fn(a);
+          }
+          return;
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    const std::size_t fork = fork_dep(i);
+    if (fork != npos) fn(fork);
+  }
 
   // ---- locks ------------------------------------------------------------
 
@@ -241,27 +340,48 @@ class TraceIndex {
     table[i] = narrow(value);
   }
 
+  /// An awaitB table key: (object, index) then processor.  The processor
+  /// sits in the padding after the object, so a key takes 16 bytes.
   struct AwaitKey {
-    SyncKey key;
+    ObjectId object = 0;
     ProcId proc = 0;
+    std::int64_t index = 0;
     friend bool operator==(const AwaitKey&, const AwaitKey&) = default;
     friend bool operator<(const AwaitKey& a, const AwaitKey& b) {
-      if (!(a.key == b.key)) return a.key < b.key;
+      if (a.object != b.object) return a.object < b.object;
+      if (a.index != b.index) return a.index < b.index;
       return a.proc < b.proc;
     }
   };
 
-  /// Table finisher run by IncrementalTraceIndex::seal(): sorts the
-  /// collected advance/await entries into the flat key/index arrays,
-  /// extracts duplicate advances, and orders the barrier episodes.
-  void finish_tables(std::vector<std::pair<SyncKey, std::size_t>>& advances,
-                     std::vector<std::pair<AwaitKey, std::size_t>>& awaits);
+  SyncKey key_of(std::size_t i) const {
+    const Event& e = (*trace_)[i];
+    return {e.object, e.payload};
+  }
+  /// True when event j is an awaitB with awaitE i's key.  Callers pass
+  /// i's previous event on its processor, so j is on i's processor.
+  bool is_await_begin_of(std::size_t j, std::size_t i) const {
+    if (j == npos) return false;
+    const Event& b = (*trace_)[j];
+    const Event& e = (*trace_)[i];
+    return b.kind == EventKind::kAwaitBegin && b.object == e.object &&
+           b.payload == e.payload;
+  }
+
+  /// Table finisher run by IncrementalTraceIndex::seal(): puts the
+  /// collected advance/await columns in key order (a sort only when they
+  /// arrived out of it), extracts duplicate advances, sets the unique-key
+  /// flags, resolves the awaitEs in `await_ends` to their advances, and
+  /// orders the barrier episodes.
+  void finish_tables(bool advances_sorted, bool awaits_sorted,
+                     const std::vector<std::uint32_t>& await_ends);
 
   const Trace* trace_;
   std::vector<std::uint32_t> prev_on_proc_;
-  std::vector<std::uint32_t> fork_dep_;     ///< lazy: empty = all npos
-  std::vector<std::uint32_t> lock_dep_;     ///< lazy
-  std::vector<std::uint32_t> sem_ordinal_;  ///< lazy
+  std::vector<std::uint32_t> fork_dep_;         ///< lazy: empty = all npos
+  std::vector<std::uint32_t> lock_dep_;         ///< lazy
+  std::vector<std::uint32_t> sem_ordinal_;      ///< lazy
+  std::vector<std::uint32_t> awaited_advance_;  ///< lazy
   std::vector<std::vector<std::uint32_t>> proc_events_;
   std::vector<LoopSpan> loops_;
   std::vector<IterSpan> iters_;
@@ -270,10 +390,14 @@ class TraceIndex {
   // then index, so one key's occurrences form a contiguous ascending slice
   // of the index array.
   std::vector<SyncKey> advance_keys_;
-  std::vector<std::size_t> advance_idx_;
+  std::vector<std::uint32_t> advance_idx_;
   std::vector<AwaitKey> await_keys_;
-  std::vector<std::size_t> await_idx_;
+  std::vector<std::uint32_t> await_idx_;
   std::vector<std::size_t> duplicate_advances_;
+  /// No key has two advances / no (key, proc) has two awaitBs: the guards
+  /// of the *_of fast paths.
+  bool unique_advances_ = true;
+  bool unique_await_begins_ = true;
 
   std::unordered_map<ObjectId, std::vector<std::size_t>> sem_releases_;
   std::vector<BarrierEpisode> barriers_;  ///< sorted by key
@@ -350,8 +474,13 @@ class IncrementalTraceIndex {
 
   TraceIndex index_;
   std::size_t expected_ = 0;  ///< presized length; 0 when streaming
-  std::vector<std::pair<SyncKey, std::size_t>> advance_entries_;
-  std::vector<std::pair<TraceIndex::AwaitKey, std::size_t>> await_entries_;
+  /// The sync tables' columns arrive in trace order; these record whether
+  /// that is also key order, which leaves seal() nothing to sort.
+  bool advances_sorted_ = true;
+  bool awaits_sorted_ = true;
+  std::size_t advance_hint_ = 0;  ///< the last awaitE's advance run end
+  /// awaitEs appended after the advances left key order, for seal().
+  std::vector<std::uint32_t> unresolved_await_ends_;
 
   // Scan state carried between appends.
   std::vector<std::uint32_t> last_on_proc_;

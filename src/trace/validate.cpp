@@ -87,17 +87,6 @@ class Validator {
     // Per-processor monotonicity state.
     std::vector<Tick> running_max(procs, 0);
     std::vector<std::uint8_t> started(procs, 0);
-    // Fast path for the awaitE begin check: the key of the latest awaitB on
-    // each processor.  Well-formed traces pair every awaitE with the
-    // processor's most recent awaitB, so the index search only runs when the
-    // memo mismatches (corrupted traces).
-    std::vector<SyncKey> last_await_key(procs);
-    std::vector<std::uint8_t> has_await(procs, 0);
-    // Running first-advance-per-key map.  At event i it holds the global
-    // first advance for every key whose first advance precedes i, so a hit
-    // replaces the index binary search; a miss falls back to the index to
-    // catch advances appearing after their awaitE (itself a violation).
-    first_adv_.reserve(trace_.size() / 4 + 1);
 
     // Duplicate advances are a violation wherever they appear; the index
     // preserves them in trace order.
@@ -127,15 +116,7 @@ class Validator {
       }
 
       switch (e.kind) {
-        case EventKind::kAdvance:
-          // emplace keeps the first occurrence (trace order == scan order).
-          first_adv_.emplace(SyncKey{e.object, e.payload}, i);
-          break;
-        case EventKind::kAwaitBegin:
-          last_await_key[p] = SyncKey{e.object, e.payload};
-          has_await[p] = 1;
-          break;
-        case EventKind::kAwaitEnd: check_await_end(i, e, last_await_key, has_await); break;
+        case EventKind::kAwaitEnd: check_await_end(i, e); break;
         case EventKind::kLockAcquire:
         case EventKind::kLockRelease: check_lock(i, e); break;
         case EventKind::kSemAcquire:
@@ -149,24 +130,16 @@ class Validator {
 
   /// An awaitE is checked against its *first* advance even when the advance
   /// appears later in trace order (which is itself the
-  /// kAwaitEndBeforeAdvance violation).
-  void check_await_end(std::size_t i, const Event& e,
-                       const std::vector<SyncKey>& last_await_key,
-                       const std::vector<std::uint8_t>& has_await) {
-    const SyncKey key{e.object, e.payload};
-    const auto p = static_cast<std::size_t>(e.proc);
-    const bool has_begin =
-        (has_await[p] && last_await_key[p] == key) ||
-        idx_.last_await_begin_before(key, e.proc, i) != TraceIndex::npos;
-    if (!has_begin) {
+  /// kAwaitEndBeforeAdvance violation).  The index answers both partner
+  /// lookups in O(1) on well-formed traces.
+  void check_await_end(std::size_t i, const Event& e) {
+    if (idx_.await_begin_before(i) == TraceIndex::npos) {
       add(await_, ViolationKind::kAwaitEndWithoutBegin, i,
           strf("awaitE(%u, %lld) without awaitB on proc %u",
                unsigned(e.object), static_cast<long long>(e.payload),
                unsigned(e.proc)));
     }
-    const auto it = first_adv_.find(key);
-    const std::size_t adv =
-        it != first_adv_.end() ? it->second : idx_.first_advance(key);
+    const std::size_t adv = idx_.first_advance_of(i);
     if (adv == TraceIndex::npos) {
       add(await_, ViolationKind::kAwaitEndWithoutAdvance, i,
           strf("awaitE(%u, %lld) with no advance", unsigned(e.object),
@@ -354,7 +327,6 @@ class Validator {
   const TraceIndex& idx_;
   const Trace& trace_;
   Tick slack_;
-  std::unordered_map<SyncKey, std::size_t, SyncKeyHash> first_adv_;
   std::unordered_map<ObjectId, LockState> lock_state_;
   std::map<std::pair<ObjectId, ProcId>, std::int64_t> sem_held_;
   std::vector<Violation> mono_;

@@ -16,7 +16,6 @@ using trace::Event;
 using trace::EventKind;
 using trace::ObjectId;
 using trace::ProcId;
-using trace::SyncKey;
 using trace::Trace;
 using trace::TraceIndex;
 
@@ -37,55 +36,6 @@ const support::Counter& memo_counter() {
 const support::Gauge& edges_gauge() {
   static const support::Gauge g("whatif.dag.edges");
   return g;
-}
-
-/// Enumerates event i's cross-processor dependencies, mirroring the
-/// critical-path predecessor rules: the advance an awaitE waited for, the
-/// hand-off release of a lock acquisition, every episode arrival a barrier
-/// departure waited for (all of them, since re-evaluation can reorder which
-/// one is latest), and otherwise the spawning LoopBegin (fork dependency).
-/// Emission order is deterministic (arrivals in trace order), which both
-/// evaluation paths rely on for identical tie-breaks.
-template <typename Fn>
-void for_each_cross_pred(const TraceIndex& idx, std::size_t i, Fn&& fn) {
-  const Trace& t = idx.trace();
-  const Event& e = t[i];
-  switch (e.kind) {
-    case EventKind::kAwaitEnd: {
-      const std::size_t adv =
-          idx.last_advance_before(SyncKey{e.object, e.payload}, i);
-      if (adv != kNone) {
-        fn(adv);
-        return;
-      }
-      break;
-    }
-    case EventKind::kLockAcquire: {
-      const std::size_t dep = idx.lock_dep(i);
-      if (dep != kNone) {
-        fn(dep);
-        return;
-      }
-      break;
-    }
-    case EventKind::kBarrierDepart: {
-      const auto* ep = idx.barrier_episode(e.object, e.payload);
-      if (ep != nullptr) {
-        bool any = false;
-        for (const std::size_t a : ep->arrivals) {
-          if (a >= i) break;
-          fn(a);
-          any = true;
-        }
-        if (any) return;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  const std::size_t fork = idx.fork_dep(i);
-  if (fork != kNone) fn(fork);
 }
 
 /// Events whose times other events' evaluations read: they must keep an
@@ -157,7 +107,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   std::size_t a_n = 0, e_n = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t preds = 0;
-    for_each_cross_pred(idx, i, [&](std::size_t) { ++preds; });
+    idx.for_each_cross_dep(i, [&](std::size_t) { ++preds; });
     const Event& e = t[i];
     if (preds > 0 || is_dependency_source(e.kind) ||
         idx.prev_on_proc(i) == kNone || last_event[e.proc] == i) {
@@ -192,7 +142,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     const std::size_t prev = idx.prev_on_proc(i);
     bool any = prev != kNone;
     Tick base = any ? t[prev].time : 0;
-    for_each_cross_pred(idx, i, [&](std::size_t p) {
+    idx.for_each_cross_dep(i, [&](std::size_t p) {
       pred_.push_back(slot_or_owner_[p]);
       if (!any || t[p].time > base) base = t[p].time;
       any = true;

@@ -95,6 +95,37 @@ TEST(Waiting, BarrierWaitCounted) {
   EXPECT_EQ(stats.intervals[0].cause, EventKind::kBarrierDepart);
 }
 
+// A barrier's object is its loop's node id and sync variables are numbered
+// from 1, so an await and a barrier episode can share (object, payload) on
+// one processor.  Each begin-marker is consumed on its own: the awaitE
+// consuming its awaitB does not consume the earlier barrier arrival.  (With
+// one consumption state per (object, payload, processor) for both kinds,
+// the departure read the awaitB as its latest consumed begin and dropped
+// its 80-tick wait.)
+TEST(Waiting, AwaitAndBarrierSharingAKeyAreConsumedSeparately) {
+  Trace t({"t", 2, 1.0});
+  t.append(ev(10, 0, EventKind::kBarrierArrive, 4, 2));
+  t.append(ev(20, 0, EventKind::kAwaitBegin, 4, 2));
+  t.append(ev(60, 1, EventKind::kAdvance, 4, 2));
+  t.append(ev(70, 0, EventKind::kAwaitEnd, 4, 2));
+  t.append(ev(85, 1, EventKind::kBarrierArrive, 4, 2));
+  t.append(ev(90, 0, EventKind::kBarrierDepart, 4, 2));
+  t.append(ev(90, 1, EventKind::kBarrierDepart, 4, 2));
+  WaitClassifier c;
+  c.await_nowait = 4;
+  c.barrier_depart = 10;
+  const auto stats = waiting_analysis(t, c);
+  ASSERT_EQ(stats.intervals.size(), 2u);
+  EXPECT_EQ(stats.intervals[0].cause, EventKind::kAwaitEnd);
+  EXPECT_EQ(stats.intervals[0].begin, 20);
+  EXPECT_EQ(stats.intervals[0].end, 70);
+  EXPECT_EQ(stats.intervals[1].cause, EventKind::kBarrierDepart);
+  EXPECT_EQ(stats.intervals[1].proc, 0);
+  EXPECT_EQ(stats.intervals[1].begin, 10);
+  EXPECT_EQ(stats.intervals[1].end, 90);
+  EXPECT_EQ(stats.waiting_time[0], 50 + 80);
+}
+
 TEST(Waiting, RenderedTableShowsPercentages) {
   WaitClassifier c;
   c.await_nowait = 4;

@@ -17,6 +17,11 @@
 //   TraceIndex(approx) kept       53.24  25.24     41.27  17.27
 //   WhatIfDag kept                46.54  22.88     56.36  35.50
 //   rank(50, pool(4), 10) peak    19.18  10.03     61.91  47.13
+//
+// Since the index keeps each awaitE's advance (a lazy 4 B/event table) and
+// pays for it with 32-bit sync-table index columns and 16-byte awaitB keys,
+// TraceIndex(approx) keeps 26.96 B/event on lfk3 (17.27 on contention,
+// which has no awaits); the bounds are unchanged.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -10,6 +10,8 @@
 // semaphore and multi-phase barrier workloads, and a fault-injected trace
 // with a duplicate advance; the approximation cases reconstruct those same
 // traces with the plan's mean probe costs and the machine's sync costs.
+// The degenerate traces are hand-built advance/await patterns that break
+// the pairing a well-formed trace has.
 //
 // Each case carries a unique label; the digest tables are keyed on it.
 #pragma once
@@ -318,6 +320,97 @@ inline std::vector<ApproxCase> approx_cases() {
       c.options.semaphore_capacity = workload::semaphore_capacities(
           workload_program(workload::Family::kContention, 0.0, 0.6));
     out.push_back(std::move(c));
+  }
+  return out;
+}
+
+/// Hand-built traces whose advance/await pairing is degenerate, each round
+/// of its pattern repeated over 40 payloads (so 97-event slices of an
+/// incremental build split the pattern at varied points), between
+/// statements on every processor.  Sync variable 1; processor 0 advances,
+/// processors 1 and 2 await:
+///   * "interleaved-awaits": processor 1 issues two awaitBs before either
+///     awaitE;
+///   * "duplicate-advances": each key is advanced twice, once before and
+///     once after processor 1's awaitE;
+///   * "await-before-advance": the awaitE precedes its advance in trace
+///     order, and every fifth key has no advance at all;
+///   * "duplicate-await-begin": processor 1 awaits each key twice;
+///   * "reversed-advances": each pair of keys is advanced in descending
+///     order, so the advances leave key order.
+inline std::vector<std::pair<std::string, trace::Trace>> degenerate_traces() {
+  using trace::EventKind;
+  struct Builder {
+    trace::Trace t{trace::TraceInfo{"", 3, 1.0}};
+    trace::Tick time = 0;
+    void add(trace::ProcId proc, EventKind kind, std::int64_t payload = 0,
+             trace::ObjectId object = 1) {
+      time += 5 + static_cast<trace::Tick>((t.size() * 7) % 11);
+      t.append({time, payload, 1, object, proc, kind});
+    }
+    void statements() {
+      for (trace::ProcId p = 0; p < 3; ++p) {
+        add(p, EventKind::kStmtEnter, 0, 0);
+        add(p, EventKind::kStmtExit, 0, 0);
+      }
+    }
+  };
+  using Round = void (*)(Builder&, std::int64_t);
+  const std::pair<const char*, Round> patterns[] = {
+      {"interleaved-awaits",
+       [](Builder& b, std::int64_t r) {
+         b.add(0, EventKind::kAdvance, 2 * r);
+         b.add(1, EventKind::kAwaitBegin, 2 * r);
+         b.add(1, EventKind::kAwaitBegin, 2 * r + 1);
+         b.add(0, EventKind::kAdvance, 2 * r + 1);
+         b.add(1, EventKind::kAwaitEnd, 2 * r);
+         b.add(1, EventKind::kAwaitEnd, 2 * r + 1);
+       }},
+      {"duplicate-advances",
+       [](Builder& b, std::int64_t r) {
+         b.add(0, EventKind::kAdvance, r);
+         b.add(1, EventKind::kAwaitBegin, r);
+         b.add(1, EventKind::kAwaitEnd, r);
+         b.add(0, EventKind::kAdvance, r);
+         b.add(2, EventKind::kAwaitBegin, r);
+         b.add(2, EventKind::kAwaitEnd, r);
+       }},
+      {"await-before-advance",
+       [](Builder& b, std::int64_t r) {
+         b.add(1, EventKind::kAwaitBegin, r);
+         b.add(1, EventKind::kAwaitEnd, r);
+         if (r % 5 != 4) b.add(0, EventKind::kAdvance, r);
+       }},
+      {"duplicate-await-begin",
+       [](Builder& b, std::int64_t r) {
+         b.add(0, EventKind::kAdvance, r);
+         b.add(1, EventKind::kAwaitBegin, r);
+         b.add(1, EventKind::kAwaitEnd, r);
+         b.add(1, EventKind::kAwaitBegin, r);
+         b.add(1, EventKind::kAwaitEnd, r);
+       }},
+      {"reversed-advances",
+       [](Builder& b, std::int64_t r) {
+         b.add(0, EventKind::kAdvance, 2 * r + 1);
+         b.add(0, EventKind::kAdvance, 2 * r);
+         b.add(1, EventKind::kAwaitBegin, 2 * r);
+         b.add(1, EventKind::kAwaitEnd, 2 * r);
+         b.add(2, EventKind::kAwaitBegin, 2 * r + 1);
+         b.add(2, EventKind::kAwaitEnd, 2 * r + 1);
+       }},
+  };
+  std::vector<std::pair<std::string, trace::Trace>> out;
+  for (const auto& [label, round] : patterns) {
+    Builder b;
+    b.t.info().name = label;
+    b.add(0, EventKind::kProgramBegin, 0, 0);
+    for (std::int64_t r = 0; r < 40; ++r) {
+      b.statements();
+      round(b, r);
+    }
+    b.statements();
+    b.add(0, EventKind::kProgramEnd, 0, 0);
+    out.emplace_back(label, std::move(b.t));
   }
   return out;
 }

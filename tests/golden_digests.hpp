@@ -18,6 +18,11 @@
 //     of every index trace, with the overheads and options of
 //     approx_cases(); the streamed reconstruction digested the same on every
 //     trace.
+//
+// Generated at commit 7742cde, before the index resolved each awaitE's
+// partners and the analyses stopped searching for them:
+//   * kAnalysesDigests: analyses_digest (analyses_digest.hpp) of every
+//     partner case: the approximation cases, then the degenerate traces.
 // A digest that stops matching means the output changed: regenerate only
 // for a deliberate, explained change of the simulated, indexed or
 // reconstructed result.
@@ -226,6 +231,27 @@ inline constexpr Digest kApproxDigests[] = {
     {"semaphore", 0x1b83ea3ff4f16ab2ULL},
     {"barrier", 0x9090597d97f6e1afULL},
     {"duplicate-advance", 0xf298941617fdf0acULL},
+};
+
+inline constexpr Digest kAnalysesDigests[] = {
+    {"lfk3/p1", 0x0778e5abc54af64eULL},
+    {"lfk3/p2", 0x2c7ad1721cb0229dULL},
+    {"lfk3/p8", 0x27b9833fee0aca13ULL},
+    {"lfk4/p1", 0x7b1e57d8f7631f50ULL},
+    {"lfk4/p2", 0x18949e976b0c00a6ULL},
+    {"lfk4/p8", 0xdf72cde2a4cb45eeULL},
+    {"lfk17/p1", 0xec040b8088ff744cULL},
+    {"lfk17/p2", 0xd0c36d2421abc1a8ULL},
+    {"lfk17/p8", 0xfc1d9ee7ee8f6be7ULL},
+    {"contention", 0x80e35b1539aad51bULL},
+    {"semaphore", 0x318970d394563ecbULL},
+    {"barrier", 0x24b526877e8a783aULL},
+    {"duplicate-advance", 0xe5639060c167bc2aULL},
+    {"interleaved-awaits", 0x818c471a50428950ULL},
+    {"duplicate-advances", 0xb7e323b5bb2ed0e8ULL},
+    {"await-before-advance", 0x848533a63bc596e2ULL},
+    {"duplicate-await-begin", 0x54951c1605f02079ULL},
+    {"reversed-advances", 0x0891b0ca34d70951ULL},
 };
 
 }  // namespace perturb::golden

@@ -258,6 +258,7 @@ void expect_index_equal(const trace::TraceIndex& a, const trace::TraceIndex& b,
     EXPECT_EQ(a.fork_dep(i), b.fork_dep(i)) << "event " << i;
     EXPECT_EQ(a.lock_dep(i), b.lock_dep(i)) << "event " << i;
     EXPECT_EQ(a.sem_ordinal(i), b.sem_ordinal(i)) << "event " << i;
+    EXPECT_EQ(a.awaited_advance(i), b.awaited_advance(i)) << "event " << i;
   }
   for (std::size_t p = 0; p < a.num_procs(); ++p) {
     const auto proc = static_cast<trace::ProcId>(p);
@@ -358,7 +359,8 @@ Trace padded_trace(const std::vector<Event>& middle, std::size_t pad) {
   return t;
 }
 
-// The fork, lock and semaphore tables are allocated on their first entry.
+// The fork, lock, semaphore and awaited-advance tables are allocated on
+// their first entry.
 // Whether that entry arrives mid-trace (and mid-slice) or never, the sealed
 // incremental index answers exactly what the batch index answers.
 TEST(IncrementalTraceIndex, LazyTablesMatchBatchWhateverTheirFirstEntry) {
@@ -380,6 +382,9 @@ TEST(IncrementalTraceIndex, LazyTablesMatchBatchWhateverTheirFirstEntry) {
   check("first semaphore acquire",
         {ev(0, K::kSemAcquire, 3), ev(1, K::kSemAcquire, 3),
          ev(0, K::kSemRelease, 3), ev(1, K::kSemRelease, 3)});
+  check("first awaited advance",
+        {ev(0, K::kAdvance, 2), ev(1, K::kAwaitBegin, 2),
+         ev(1, K::kAwaitEnd, 2)});
   check("first loop episode",
         {ev(0, K::kLoopBegin, 1), ev(1, K::kStmtEnter, 0),
          ev(0, K::kStmtEnter, 0), ev(1, K::kStmtExit, 0),
