@@ -17,7 +17,6 @@ WaitingStats waiting_analysis(const TraceIndex& index,
   WaitingStats stats;
   stats.waiting_time.assign(t.info().num_procs, 0);
   stats.waiting_percent.assign(t.info().num_procs, 0.0);
-  stats.total_time = t.total_time();
 
   // A begin-marker (awaitB, barrier arrive) is consumed by the first end
   // event that matches it; subsequent ends without a fresh begin find
@@ -42,9 +41,25 @@ WaitingStats waiting_analysis(const TraceIndex& index,
     return candidate;
   };
 
+  // The program's run time (Trace::total_time) comes out of the same loop:
+  // the first ProgramBegin to the last ProgramEnd, else the trace's span.
+  Tick program_begin = 0, program_end = 0;
+  bool have_begin = false, have_end = false;
+  Tick lo = t.empty() ? 0 : t[0].time;
+  Tick hi = lo;
   for (std::size_t i = 0; i < t.size(); ++i) {
     const Event& e = t[i];
+    lo = std::min(lo, e.time);
+    hi = std::max(hi, e.time);
     switch (e.kind) {
+      case EventKind::kProgramBegin:
+        if (!have_begin) program_begin = e.time;
+        have_begin = true;
+        break;
+      case EventKind::kProgramEnd:
+        program_end = e.time;
+        have_end = true;
+        break;
       case EventKind::kAwaitEnd: {
         const std::size_t ab = take_begin(index.await_begin_before(i));
         if (ab != TraceIndex::npos) {
@@ -95,6 +110,8 @@ WaitingStats waiting_analysis(const TraceIndex& index,
     }
   }
 
+  stats.total_time =
+      have_begin && have_end ? program_end - program_begin : hi - lo;
   if (stats.total_time > 0) {
     for (std::size_t p = 0; p < stats.waiting_time.size(); ++p)
       stats.waiting_percent[p] = 100.0 *

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 
 #include "support/metrics.hpp"
@@ -97,13 +98,16 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   // processor's chain endpoints.  Everything else is a plain chain-only
   // event that folds into a gap.  This pass marks the anchors and counts
   // them and their cross edges, so every per-anchor array is allocated
-  // once, at its final size.
+  // once, at its final size.  (One pass into arrays reserved per event and
+  // cut to size after ran slower in the benchmark's analyst job: the cut
+  // copies into fresh pages.)  slot_of maps an anchor's trace index to its
+  // slot (knone for plain events) while the DAG is built.
   std::vector<std::size_t> last_event(procs, kNone);
   for (std::size_t p = 0; p < procs; ++p) {
     const auto evs = idx.events_of(static_cast<ProcId>(p));
     if (!evs.empty()) last_event[p] = evs.back();
   }
-  slot_or_owner_.assign(n, knone);
+  std::vector<std::uint32_t> slot_of(n, knone);
   std::size_t a_n = 0, e_n = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t preds = 0;
@@ -111,7 +115,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     const Event& e = t[i];
     if (preds > 0 || is_dependency_source(e.kind) ||
         idx.prev_on_proc(i) == kNone || last_event[e.proc] == i) {
-      slot_or_owner_[i] = 0;  // an anchor; numbered below
+      slot_of[i] = 0;  // an anchor; numbered below
       ++a_n;
       e_n += preds;
     }
@@ -135,7 +139,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   pred_off_.push_back(0);
   std::vector<std::uint32_t> last_anchor(procs, knone);
   for (std::size_t i = 0; i < n; ++i) {
-    if (slot_or_owner_[i] == knone) continue;
+    if (slot_of[i] == knone) continue;
     const Event& e = t[i];
     const auto s = static_cast<std::uint32_t>(event_of_.size());
     const std::uint32_t q = last_anchor[e.proc];
@@ -143,61 +147,24 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     bool any = prev != kNone;
     Tick base = any ? t[prev].time : 0;
     idx.for_each_cross_dep(i, [&](std::size_t p) {
-      pred_.push_back(slot_or_owner_[p]);
+      pred_.push_back(slot_of[p]);
       if (!any || t[p].time > base) base = t[p].time;
       any = true;
     });
     pred_off_.push_back(static_cast<std::uint32_t>(pred_.size()));
-    slot_or_owner_[i] = s;
+    slot_of[i] = s;
     event_of_.push_back(static_cast<std::uint32_t>(i));
     chain_.push_back(q);
-    // Plain events still read knone here: their owners come next.
-    gap_.push_back(q != knone && slot_or_owner_[prev] == knone
+    gap_.push_back(q != knone && slot_of[prev] == knone
                        ? t[prev].time - t0_[q]
                        : 0);
     d_.push_back(e.time - base);
     t0_.push_back(e.time);
     proc_.push_back(e.proc);
+    if (q != knone) ++edges_;
     last_anchor[e.proc] = s;
   }
-  w0_.assign(a_n, 0);
-
-  // Each plain event's owner is the next anchor on its processor; every
-  // processor's last event is an anchor, so each plain event has one.
-  std::fill(last_anchor.begin(), last_anchor.end(), knone);
-  for (std::size_t i = n; i-- > 0;) {
-    std::uint32_t& v = slot_or_owner_[i];
-    if (v == knone)
-      v = last_anchor[t[i].proc];
-    else
-      last_anchor[t[i].proc] = v;
-  }
-
-  // -- successor table -----------------------------------------------------
-  succ_off_.assign(a_n + 1, 0);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    if (chain_[s] != knone) ++succ_off_[chain_[s] + 1];
-    for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
-      ++succ_off_[pred_[c] + 1];
-  }
-  for (std::size_t s = 0; s < a_n; ++s) succ_off_[s + 1] += succ_off_[s];
-  succ_.assign(succ_off_[a_n], knone);
-  std::vector<std::uint32_t> fill(succ_off_.begin(), succ_off_.end() - 1);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    const std::uint32_t me = static_cast<std::uint32_t>(s);
-    if (chain_[s] != knone) succ_[fill[chain_[s]]++] = me;
-    for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
-      succ_[fill[pred_[c]]++] = me;
-  }
-  edges_ = succ_.size();
-
-  // -- baseline waiting ----------------------------------------------------
-  // w = (t0 - d) - chain candidate: how long the chain stalled on a cross
-  // dependency before this anchor.  Plain events wait 0 by construction.
-  for (std::size_t s = 0; s < a_n; ++s) {
-    if (chain_[s] == knone) continue;
-    w0_[s] = (t0_[s] - d_[s]) - (t0_[chain_[s]] + gap_[s]);
-  }
+  edges_ += pred_.size();
 
   // -- per-processor endpoints and baseline metrics ------------------------
   first_slot_.assign(procs, knone);
@@ -205,8 +172,8 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   for (std::size_t p = 0; p < procs; ++p) {
     const auto evs = idx.events_of(static_cast<ProcId>(p));
     if (evs.empty()) continue;
-    first_slot_[p] = slot_or_owner_[evs.front()];
-    last_slot_[p] = slot_or_owner_[evs.back()];
+    first_slot_[p] = slot_of[evs.front()];
+    last_slot_[p] = slot_of[evs.back()];
   }
   Tick lo = 0, hi = 0;
   bool seen = false;
@@ -219,133 +186,157 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     seen = true;
   }
   baseline_.makespan = seen ? hi - lo : 0;
+  // Plain events wait 0 by construction.
   baseline_.waiting.assign(t.info().num_procs, 0);
-  for (std::size_t s = 0; s < a_n; ++s)
+  for (std::size_t s = 0; s < event_of_.size(); ++s)
     if (proc_[s] < baseline_.waiting.size())
-      baseline_.waiting[proc_[s]] += w0_[s];
+      baseline_.waiting[proc_[s]] +=
+          baseline_wait(static_cast<std::uint32_t>(s));
   const auto baseline_time = [&](std::uint32_t s) { return t0_[s]; };
-  baseline_.critical_path = walk_critical_path(
-      baseline_time, [&](std::uint32_t s) {
+  walk_critical_paths<1>(
+      1, [&](std::uint32_t s, std::size_t) { return t0_[s]; },
+      [&](std::uint32_t s, std::size_t) {
         return chain_binds(s, baseline_time, [](std::uint32_t) -> Tick {
           return 0;
         });
-      });
+      },
+      &baseline_.critical_path);
 
-  // -- site membership -----------------------------------------------------
-  // One trace-order pass files the per-event sites and the lock sites.
-  //   A statement, sync, semaphore or barrier site lists its own events by
+  edges_gauge().record_max(static_cast<std::int64_t>(edges_));
+}
+
+template <std::size_t kW, typename AnchorFn>
+void WhatIfDag::scan_members(const WhatIfPlan* plans, std::size_t lanes,
+                             AnchorFn&& at_anchor) const {
+  using analysis::SiteKind;
+  const Trace& t = index_->trace();
+  const std::size_t n = t.size();
+  const std::size_t procs = index_->num_procs();
+
+  // Membership, per lane's site:
+  //   A statement, sync, semaphore or barrier site holds its own events by
   //   kind (for statements, the exit, which owns the statement's duration).
   //   A lock site holds every event after an acquisition through the
   //   release, on the holding processor: the acquire is excluded (its
   //   waiting is not scaled away) and the release included; a re-acquire
   //   of a held lock changes nothing, a release of an unheld one likewise,
   //   and a lock still held at the end runs to the processor's last event.
-  //   A range is filed when its lock is acquired, so a site's ranges come
-  //   out in trace order and seeding walks the trace forward once.
-  members_.resize(sites.size());
-  std::vector<std::uint32_t> pos(procs, 0);  // events seen, per processor
-  // Per processor: (site, its open range in members_[site].held).
-  std::vector<std::vector<std::pair<SiteId, std::size_t>>> open_ranges(procs);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Event& e = t[i];
-    const std::uint32_t k = pos[e.proc]++;
-    switch (e.kind) {
-      case EventKind::kLockAcquire:
-      case EventKind::kLockRelease: {
-        const SiteId site = sites.site_of_event(e);
-        if (site == SiteRegistry::npos) break;
-        std::vector<HeldRange>& ranges =
-            members_[static_cast<std::size_t>(site)].held;
-        auto& holding = open_ranges[e.proc];
-        const auto it =
-            std::find_if(holding.begin(), holding.end(),
-                         [&](const auto& h) { return h.first == site; });
-        if (e.kind == EventKind::kLockAcquire && it == holding.end()) {
-          holding.emplace_back(site, ranges.size());
-          ranges.push_back({e.proc, k + 1, k});  // empty until closed
-        } else if (e.kind == EventKind::kLockRelease && it != holding.end()) {
-          ranges[it->second].last = k;
-          holding.erase(it);
+  //   A loop site holds every event, on any processor, inside one of its
+  //   episodes (begin, end] (a truncated episode runs to the end of the
+  //   trace).
+  // Per event kind: the lanes whose site holds such an event when its key
+  // (statement id for an exit, else object) is the site's id, and the
+  // lanes whose lock such an event takes or drops.  A loop lane's episodes
+  // merge into disjoint ranges, entered and left by toggling its bit of
+  // `in_loop` at each range's ends.
+  const auto kind_of = [](EventKind k) { return static_cast<std::size_t>(k); };
+  unsigned own[trace::kNumEventKinds] = {};
+  unsigned take[trace::kNumEventKinds] = {};
+  unsigned drop[trace::kNumEventKinds] = {};
+  std::uint32_t key[kW] = {};
+  std::int64_t pct[kW] = {};
+  struct Toggle {
+    std::size_t at;
+    unsigned bit;
+  };
+  std::vector<Toggle> toggles;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const analysis::Site site = sites_->site(plans[l].site);
+    const unsigned bit = 1u << l;
+    key[l] = site.id;
+    pct[l] = plans[l].pct;
+    switch (site.kind) {
+      case SiteKind::kStatement:
+        own[kind_of(EventKind::kStmtExit)] |= bit;
+        break;
+      case SiteKind::kSync:
+        for (const EventKind k : {EventKind::kAdvance, EventKind::kAwaitBegin,
+                                  EventKind::kAwaitEnd})
+          own[kind_of(k)] |= bit;
+        break;
+      case SiteKind::kSemaphore:
+        own[kind_of(EventKind::kSemAcquire)] |= bit;
+        own[kind_of(EventKind::kSemRelease)] |= bit;
+        break;
+      case SiteKind::kBarrier:
+        own[kind_of(EventKind::kBarrierArrive)] |= bit;
+        own[kind_of(EventKind::kBarrierDepart)] |= bit;
+        break;
+      case SiteKind::kLock:
+        take[kind_of(EventKind::kLockAcquire)] |= bit;
+        drop[kind_of(EventKind::kLockRelease)] |= bit;
+        break;
+      case SiteKind::kLoop: {
+        std::vector<std::pair<std::size_t, std::size_t>> episodes;
+        for (const auto& span : index_->loops()) {
+          if (span.object != site.id || span.begin_index == kNone) continue;
+          const std::size_t last =
+              span.end_index == kNone ? n - 1 : span.end_index;
+          if (span.begin_index < last)
+            episodes.emplace_back(span.begin_index + 1, last);
+        }
+        std::sort(episodes.begin(), episodes.end());
+        for (std::size_t r = 0; r < episodes.size();) {
+          const std::size_t first = episodes[r].first;
+          std::size_t last = episodes[r].second;
+          for (++r; r < episodes.size() && episodes[r].first <= last + 1; ++r)
+            last = std::max(last, episodes[r].second);
+          toggles.push_back({first, bit});
+          toggles.push_back({last + 1, bit});
         }
         break;
       }
-      case EventKind::kStmtExit:
-      case EventKind::kAdvance:
-      case EventKind::kAwaitBegin:
-      case EventKind::kAwaitEnd:
-      case EventKind::kSemAcquire:
-      case EventKind::kSemRelease:
-      case EventKind::kBarrierArrive:
-      case EventKind::kBarrierDepart: {
-        const SiteId site = sites.site_of_event(e);
-        if (site != SiteRegistry::npos)
-          members_[static_cast<std::size_t>(site)].events.push_back(
-              static_cast<std::uint32_t>(i));
-        break;
-      }
-      default:
-        break;
     }
   }
-  // Ranges still open run to their processor's last event (and stay empty
-  // when the acquire is that event).
-  for (std::size_t p = 0; p < procs; ++p)
-    for (const auto& [site, r] : open_ranges[p])
-      members_[static_cast<std::size_t>(site)].held[r].last = pos[p] - 1;
-  for (SiteMembers& m : members_) m.events.shrink_to_fit();
+  std::sort(toggles.begin(), toggles.end(),
+            [](const Toggle& a, const Toggle& b) { return a.at < b.at; });
 
-  // A loop site: every event, on any processor, inside one of its episodes
-  // (begin, end] (a truncated episode runs to the end of the trace), as
-  // the episodes merged into disjoint ascending ranges.
-  struct Episode {
-    SiteId site;
-    std::size_t first, last;
-  };
-  std::vector<Episode> episodes;
-  for (const auto& span : idx.loops()) {
-    if (span.begin_index == kNone) continue;
-    const std::size_t last = span.end_index == kNone ? n - 1 : span.end_index;
-    const SiteId site = sites.find({analysis::SiteKind::kLoop, span.object});
-    if (span.begin_index < last && site != SiteRegistry::npos)
-      episodes.push_back({site, span.begin_index + 1, last});
-  }
-  std::sort(episodes.begin(), episodes.end(),
-            [](const Episode& a, const Episode& b) {
-              return a.site != b.site ? a.site < b.site : a.first < b.first;
-            });
-  for (std::size_t r = 0; r < episodes.size();) {
-    const Episode& head = episodes[r];
-    std::size_t last = head.last;
-    for (++r; r < episodes.size() && episodes[r].site == head.site &&
-              episodes[r].first <= last + 1;
-         ++r)
-      last = std::max(last, episodes[r].last);
-    members_[static_cast<std::size_t>(head.site)].loop_ranges.push_back(
-        {static_cast<std::uint32_t>(head.first),
-         static_cast<std::uint32_t>(last)});
-  }
+  // Per processor: the last event's time, the lanes whose lock it holds,
+  // and each lane's removals pending for its next anchor.  Every
+  // processor's last event is an anchor, so the trace's last event is one
+  // and `next` stays in range; a plain event always has an earlier event
+  // on its processor, so its cost is e.time - last.  The loop works on raw
+  // pointers held in locals, so no store can force their reload.
+  std::vector<Tick> last_time(procs, 0);
+  std::vector<unsigned> held_lanes(procs, 0);
+  std::vector<Tick> pending(procs * kW, 0);
+  const Event* const events = t.events().data();
+  const std::uint32_t* const anchor_event = event_of_.data();
+  Tick* const last = last_time.data();
+  unsigned* const held = held_lanes.data();
+  Tick* const pend_of = pending.data();
+  std::size_t next_toggle = toggles.empty() ? n : toggles[0].at;
+  unsigned in_loop = 0;
+  std::size_t k = 0;
+  std::uint32_t next = 0;  // the next anchor's slot
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == next_toggle) {
+      for (; k < toggles.size() && toggles[k].at == i; ++k)
+        in_loop ^= toggles[k].bit;
+      next_toggle = k < toggles.size() ? toggles[k].at : n;
+    }
+    const Event& e = events[i];
+    const std::size_t kind = kind_of(e.kind);
+    const std::uint32_t id =
+        e.kind == EventKind::kStmtExit ? e.id : e.object;
+    unsigned match = 0;
+    for (std::size_t l = 0; l < kW; ++l)
+      match |= (id == key[l] ? 1u : 0u) << l;
+    const unsigned h = held[e.proc];
+    const unsigned member = h | in_loop | (own[kind] & match);
+    held[e.proc] = (h | (take[kind] & match)) & ~(drop[kind] & match);
+    const Tick d = e.time - last[e.proc];
+    last[e.proc] = e.time;
 
-  edges_gauge().record_max(static_cast<std::int64_t>(edges_));
-}
-
-template <typename AnchorFn, typename PlainFn>
-void WhatIfDag::for_each_member(SiteId site, AnchorFn&& on_anchor,
-                                PlainFn&& on_plain) const {
-  const Trace& t = index_->trace();
-  const auto visit = [&](std::size_t i) {
-    const std::uint32_t v = slot_or_owner_[i];
-    if (event_of_[v] == i)
-      on_anchor(v);
-    else
-      on_plain(v, t[i].time - t[index_->prev_on_proc(i)].time);
-  };
-  const SiteMembers& m = members_[static_cast<std::size_t>(site)];
-  for (const std::uint32_t i : m.events) visit(i);
-  for (const TraceRange& r : m.loop_ranges)
-    for (std::size_t i = r.first; i <= r.last; ++i) visit(i);
-  for (const HeldRange& h : m.held) {
-    const auto evs = index_->events_of(h.proc);
-    for (std::size_t k = h.first; k <= h.last; ++k) visit(evs[k]);
+    Tick* const pend = pend_of + e.proc * kW;
+    if (anchor_event[next] == i) {
+      at_anchor(next, member, static_cast<const Tick*>(pend));
+      for (std::size_t l = 0; l < kW; ++l) pend[l] = 0;
+      ++next;
+    } else if (member != 0) {
+      for (std::size_t l = 0; l < kW; ++l)
+        pend[l] += removal_of(d, (member >> l) & 1u ? pct[l] : 0);
+    }
   }
 }
 
@@ -358,40 +349,58 @@ bool WhatIfDag::chain_binds(std::uint32_t s, TimeFn&& time_of,
   return true;
 }
 
-template <typename TimeFn, typename BindsFn>
-Tick WhatIfDag::walk_critical_path(TimeFn&& time_of,
-                                   BindsFn&& chain_binds_at) const {
+template <std::size_t kW, typename TimeFn, typename BindsFn>
+void WhatIfDag::walk_critical_paths(std::size_t lanes, TimeFn&& time_of,
+                                    BindsFn&& chain_binds_at,
+                                    Tick* length) const {
   // End anchor: the latest per-processor chain endpoint; ties go to the
-  // larger trace index (mirrors critical_path's argmax scan).
-  std::uint32_t end = knone;
-  for (std::size_t p = 0; p < last_slot_.size(); ++p) {
-    const std::uint32_t s = last_slot_[p];
-    if (s == knone) continue;
-    if (end == knone || time_of(s) > time_of(end) ||
-        (time_of(s) == time_of(end) && event_of_[s] > event_of_[end]))
-      end = s;
+  // larger slot, i.e. trace index (mirrors critical_path's argmax scan).
+  std::uint32_t end[kW] = {}, cur[kW] = {};
+  unsigned active = 0;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    end[l] = knone;
+    for (const std::uint32_t s : last_slot_) {
+      if (s == knone) continue;
+      if (end[l] == knone || time_of(s, l) > time_of(end[l], l) ||
+          (time_of(s, l) == time_of(end[l], l) && s > end[l]))
+        end[l] = s;
+    }
+    cur[l] = end[l];
+    if (end[l] != knone) active |= 1u << l;
   }
-  if (end == knone) return 0;
 
-  std::uint32_t cur = end;
-  while (true) {
-    if (chain_[cur] != knone && chain_binds_at(cur)) {
-      cur = chain_[cur];
-      continue;
-    }
-    std::uint32_t best = knone;
-    Tick best_t = 0;
-    for (std::uint32_t c = pred_off_[cur]; c < pred_off_[cur + 1]; ++c) {
-      const Tick pt = time_of(pred_[c]);
-      if (best == knone || pt > best_t) {
-        best = pred_[c];
-        best_t = pt;
+  // Every step goes to a lower slot, so visiting the highest cursor next
+  // meets each lane's steps in order; lanes whose paths meet share the
+  // anchor's loads from there on.
+  while (active != 0) {
+    std::uint32_t s = 0;
+    for (std::size_t l = 0; l < lanes; ++l)
+      if (((active >> l) & 1u) && cur[l] > s) s = cur[l];
+    const std::uint32_t q = chain_[s];
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if (!((active >> l) & 1u) || cur[l] != s) continue;
+      if (q != knone && chain_binds_at(s, l)) {
+        cur[l] = q;
+        continue;
       }
+      std::uint32_t best = knone;
+      Tick best_t = 0;
+      for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c) {
+        const Tick pt = time_of(pred_[c], l);
+        if (best == knone || pt > best_t) {
+          best = pred_[c];
+          best_t = pt;
+        }
+      }
+      if (best == knone)
+        active &= ~(1u << l);
+      else
+        cur[l] = best;
     }
-    if (best == knone) break;
-    cur = best;
   }
-  return time_of(end) - time_of(cur);
+  for (std::size_t l = 0; l < lanes; ++l)
+    length[l] =
+        end[l] == knone ? 0 : time_of(end[l], l) - time_of(cur[l], l);
 }
 
 struct WhatIfEngine::Scratch {
@@ -418,25 +427,27 @@ struct WhatIfEngine::Scratch {
 /// Scratch for one dense sweep block: lane-minor time rows of the block's
 /// row width W (slot s, lane l at index s * W + l), so the per-anchor chain
 /// and predecessor loads are shared by all lanes of a cache line, plus one
-/// lane mask byte per anchor for each of: the anchor's own cost is scaled,
-/// its time row holds seeded gap removals, its chain binds (set by the
-/// sweep).  The seed masks are cleared at the start of every block, so
-/// blocks of any lane count and row width can share one scratch.
+/// lane-mask byte per anchor recording whether its chain binds (set by the
+/// sweep, read by the critical-path pass), and per-processor waiting sums.
+/// The sweep writes an anchor's row and mask before anything reads them, so
+/// neither is initialized, and blocks of any lane count and row width can
+/// share one scratch.
 struct WhatIfEngine::BatchScratch {
-  std::vector<Tick> time, wait;
-  std::vector<std::uint8_t> scaled, gapped, binds;
+  std::unique_ptr<Tick[]> time;
+  std::unique_ptr<std::uint8_t[]> binds;
+  std::size_t cells = 0, anchors = 0;
+  std::vector<Tick> wait;
 
-  void ensure(std::size_t anchors, std::size_t procs, std::size_t width) {
-    const std::size_t cells = anchors * width;
-    if (time.size() != cells) {
-      // Free narrower rows before allocating wider ones, so the two never
-      // coexist.
-      if (time.capacity() < cells) time = {};
-      time.assign(cells, 0);
-      binds.assign(anchors, 0);
+  void ensure(std::size_t n_anchors, std::size_t procs, std::size_t width) {
+    if (cells < n_anchors * width) {
+      time.reset();  // never hold narrower and wider rows at once
+      cells = n_anchors * width;
+      time = std::make_unique_for_overwrite<Tick[]>(cells);
     }
-    scaled.assign(anchors, 0);
-    gapped.assign(anchors, 0);
+    if (anchors < n_anchors) {
+      anchors = n_anchors;
+      binds = std::make_unique_for_overwrite<std::uint8_t[]>(anchors);
+    }
     wait.assign(procs * width, 0);
   }
 };
@@ -453,113 +464,102 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
   const std::size_t anchors = g.num_anchors();
   const std::size_t procs = g.baseline_.waiting.size();
   sc.ensure(anchors, procs, kW);
-
-  // Seed every lane: member anchors get their lane bit in `scaled` (the
-  // sweep applies removal_of to their own cost), plain members sum their
-  // removals into the owning anchor's time row — not computed yet, and
-  // read as the gap removal just before the sweep overwrites it.
   std::int64_t pct[kW] = {};
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const auto bit = static_cast<std::uint8_t>(1u << l);
-    pct[l] = plans[l].pct;
-    g.for_each_member(
-        plans[l].site, [&](std::uint32_t s) { sc.scaled[s] |= bit; },
-        [&](std::uint32_t owner, Tick d) {
-          Tick& gde = sc.time[owner * kW + l];
-          if (!(sc.gapped[owner] & bit)) {
-            sc.gapped[owner] |= bit;
-            gde = 0;
-          }
-          gde += removal_of(d, pct[l]);
-        });
-  }
+  for (std::size_t l = 0; l < lanes; ++l) pct[l] = plans[l].pct;
 
-  // One dense forward pass in slot (= topological) order.  Anchors the
-  // experiment does not touch re-evaluate to their baseline times exactly
-  // (telescoping), so no frontier bookkeeping is needed — each anchor's
-  // shared fields are loaded once and applied row-wise to every lane (the
-  // lane loops are branch-free over contiguous rows, so they vectorize).
-  // All kW columns are computed even on a partial block: unseeded columns
-  // have clear mask bits and just reproduce the baseline.
-  for (std::size_t s = 0; s < anchors; ++s) {
-    const std::uint32_t q = g.chain_[s];
-    const Tick gap = g.gap_[s];
-    const Tick d0 = g.d_[s];
-    const Tick w0 = g.w0_[s];
-    const std::uint32_t p0 = g.pred_off_[s];
-    const std::uint32_t p1 = g.pred_off_[s + 1];
-    const trace::ProcId proc = g.proc_[s];
-    Tick* row = &sc.time[s * kW];
+  // One dense forward pass in slot (= topological) order, fused with the
+  // membership scan: member anchors get removal_of applied to their own
+  // cost, and plain members' removals arrive summed per lane as the gap
+  // removal of their anchor.  Anchors the experiment does not touch
+  // re-evaluate to their baseline times exactly (telescoping), so no
+  // frontier bookkeeping is needed — each anchor's shared fields are loaded
+  // once and applied row-wise to every lane (the lane loops are branch-free
+  // over contiguous rows, so they vectorize).  All kW columns are computed
+  // even on a partial block: unseeded columns just reproduce the baseline.
+  const std::uint32_t* const chain = g.chain_.data();
+  const Tick* const gap = g.gap_.data();
+  const Tick* const cost = g.d_.data();
+  const std::uint32_t* const pred_off = g.pred_off_.data();
+  const std::uint32_t* const pred = g.pred_.data();
+  const trace::ProcId* const proc_of = g.proc_.data();
+  Tick* const time = sc.time.get();
+  std::uint8_t* const binds = sc.binds.get();
+  Tick* const wait = sc.wait.data();
+  g.scan_members<kW>(plans, lanes, [&](std::uint32_t s, unsigned scaled,
+                                       const Tick* gde) {
+    const std::uint32_t q = chain[s];
+    const Tick d0 = cost[s];
+    const std::uint32_t p0 = pred_off[s];
+    const std::uint32_t p1 = pred_off[s + 1];
+    Tick* row = time + s * kW;
     Tick rem[kW] = {};
-    if (const unsigned mask = sc.scaled[s])
+    if (scaled != 0)
       for (std::size_t l = 0; l < kW; ++l)
-        if ((mask >> l) & 1u) rem[l] = removal_of(d0, pct[l]);
+        if ((scaled >> l) & 1u) rem[l] = removal_of(d0, pct[l]);
     Tick base[kW];
     if (q != WhatIfDag::knone) {
-      Tick gde[kW] = {};
-      if (const unsigned mask = sc.gapped[s])
-        for (std::size_t l = 0; l < kW; ++l)
-          if ((mask >> l) & 1u) gde[l] = row[l];
+      const Tick gap_s = gap[s];
       Tick chain_t[kW];
-      const Tick* qrow = &sc.time[q * kW];
+      const Tick* qrow = time + q * kW;
       for (std::size_t l = 0; l < kW; ++l) {
-        chain_t[l] = qrow[l] + gap - gde[l];
+        chain_t[l] = qrow[l] + gap_s - gde[l];
         base[l] = chain_t[l];
       }
       for (std::uint32_t c = p0; c < p1; ++c) {
-        const Tick* prow = &sc.time[g.pred_[c] * kW];
+        const Tick* prow = time + pred[c] * kW;
         for (std::size_t l = 0; l < kW; ++l)
           if (prow[l] > base[l]) base[l] = prow[l];
       }
-      unsigned binds = 0;
+      unsigned bound = 0;
       for (std::size_t l = 0; l < kW; ++l) {
         row[l] = base[l] + d0 - rem[l];
-        binds |= (base[l] == chain_t[l] ? 1u : 0u) << l;
+        bound |= (base[l] == chain_t[l] ? 1u : 0u) << l;
       }
-      sc.binds[s] = static_cast<std::uint8_t>(binds);
-      if (proc < procs) {
-        Tick* wrow = &sc.wait[proc * kW];
-        for (std::size_t l = 0; l < kW; ++l)
-          wrow[l] += (base[l] - chain_t[l]) - w0;
+      binds[s] = static_cast<std::uint8_t>(bound);
+      if (const trace::ProcId proc = proc_of[s]; proc < procs) {
+        Tick* wrow = wait + proc * kW;
+        for (std::size_t l = 0; l < kW; ++l) wrow[l] += base[l] - chain_t[l];
       }
     } else if (p1 > p0) {
-      const Tick* first = &sc.time[g.pred_[p0] * kW];
+      const Tick* first = time + pred[p0] * kW;
       for (std::size_t l = 0; l < kW; ++l) base[l] = first[l];
       for (std::uint32_t c = p0 + 1; c < p1; ++c) {
-        const Tick* prow = &sc.time[g.pred_[c] * kW];
+        const Tick* prow = time + pred[c] * kW;
         for (std::size_t l = 0; l < kW; ++l)
           if (prow[l] > base[l]) base[l] = prow[l];
       }
-      // No chain: the anchor waits on nothing the model charges (w == 0,
-      // and w0 is 0 for chainless anchors by construction).
+      // No chain: the anchor waits on nothing the model charges.
       for (std::size_t l = 0; l < kW; ++l) row[l] = base[l] + d0 - rem[l];
     } else {
       for (std::size_t l = 0; l < kW; ++l) row[l] = d0 - rem[l];
     }
-  }
+  });
   frontier_counter().add(anchors * lanes);
 
+  Tick path[kW] = {};
+  g.walk_critical_paths<kW>(
+      lanes,
+      [&](std::uint32_t s, std::size_t l) { return time[s * kW + l]; },
+      [&](std::uint32_t s, std::size_t l) {
+        return ((static_cast<unsigned>(binds[s]) >> l) & 1u) != 0;
+      },
+      path);
   for (std::size_t l = 0; l < lanes; ++l) {
     WhatIfResult& r = out[l];
     Tick lo = 0, hi = 0;
     bool seen = false;
     for (std::size_t p = 0; p < g.first_slot_.size(); ++p) {
       if (g.first_slot_[p] == WhatIfDag::knone) continue;
-      const Tick f = sc.time[g.first_slot_[p] * kW + l];
-      const Tick t = sc.time[g.last_slot_[p] * kW + l];
+      const Tick f = time[g.first_slot_[p] * kW + l];
+      const Tick t = time[g.last_slot_[p] * kW + l];
       if (!seen || f < lo) lo = f;
       if (!seen || t > hi) hi = t;
       seen = true;
     }
     r.makespan = seen ? hi - lo : 0;
+    r.critical_path = path[l];
     r.waiting.resize(procs);
-    for (std::size_t p = 0; p < procs; ++p)
-      r.waiting[p] = g.baseline_.waiting[p] + sc.wait[p * kW + l];
-    r.critical_path = g.walk_critical_path(
-        [&](std::uint32_t s) { return sc.time[s * kW + l]; },
-        [&](std::uint32_t s) {
-          return ((static_cast<unsigned>(sc.binds[s]) >> l) & 1u) != 0;
-        });
+    for (std::size_t p = 0; p < procs; ++p) r.waiting[p] = wait[p * kW + l];
     experiments_counter().add();
   }
 }
@@ -596,28 +596,25 @@ WhatIfResult WhatIfEngine::evaluate(const WhatIfPlan& plan,
     return sc.gapdel_ep[s] == ep ? sc.gapdel[s] : 0;
   };
 
-  // Seed: member anchors scale their own cost; plain members fold their
-  // removals into the gap before their owning anchor.  Zero removals change
+  // Seed: member anchors scale their own cost; plain members' removals
+  // arrive summed as the gap removal of their anchor.  Zero removals change
   // nothing and are skipped, keeping the frontier cone tight.
-  g.for_each_member(
-      plan.site,
-      [&](std::uint32_t s) {
-        const Tick r = removal_of(g.d_[s], plan.pct);
-        if (r == 0) return;
+  g.scan_members<1>(&plan, 1, [&](std::uint32_t s, unsigned scaled,
+                                  const Tick* gde) {
+    if (scaled != 0) {
+      const Tick r = removal_of(g.d_[s], plan.pct);
+      if (r != 0) {
         sc.removal_ep[s] = ep;
         sc.removal[s] = r;
         push(s);
-      },
-      [&](std::uint32_t owner, Tick d) {
-        const Tick r = removal_of(d, plan.pct);
-        if (r == 0) return;
-        if (sc.gapdel_ep[owner] != ep) {
-          sc.gapdel_ep[owner] = ep;
-          sc.gapdel[owner] = 0;
-        }
-        sc.gapdel[owner] += r;
-        push(owner);
-      });
+      }
+    }
+    if (gde[0] != 0) {
+      sc.gapdel_ep[s] = ep;
+      sc.gapdel[s] = gde[0];
+      push(s);
+    }
+  });
 
   // Forward delta propagation: anchors pop in ascending slot (= trace =
   // topological) order, so every predecessor is final when read.
@@ -649,14 +646,14 @@ WhatIfResult WhatIfEngine::evaluate(const WhatIfPlan& plan,
     const Tick t = (any ? base : 0) + d;
     const Tick w = (q != WhatIfDag::knone && any) ? base - chain_t : 0;
     if (g.proc_[s] < sc.wait.size())
-      sc.wait[g.proc_[s]] += w - g.w0_[s];
+      sc.wait[g.proc_[s]] += w - g.baseline_wait(s);
 
     const Tick old = g.t0_[s];
     sc.time_ep[s] = ep;
     sc.time[s] = t;
     if (t != old)
-      for (std::uint32_t c = g.succ_off_[s]; c < g.succ_off_[s + 1]; ++c)
-        push(g.succ_[c]);
+      for (std::uint32_t c = succ_off_[s]; c < succ_off_[s + 1]; ++c)
+        push(succ_[c]);
   }
   frontier_counter().add(evaluated);
   experiments_counter().add();
@@ -676,9 +673,12 @@ WhatIfResult WhatIfEngine::evaluate(const WhatIfPlan& plan,
   out.waiting.resize(procs);
   for (std::size_t p = 0; p < procs; ++p)
     out.waiting[p] = g.baseline_.waiting[p] + sc.wait[p];
-  out.critical_path = g.walk_critical_path(time_of, [&](std::uint32_t s) {
-    return g.chain_binds(s, time_of, gap_removal);
-  });
+  g.walk_critical_paths<1>(
+      1, [&](std::uint32_t s, std::size_t) { return time_of(s); },
+      [&](std::uint32_t s, std::size_t) {
+        return g.chain_binds(s, time_of, gap_removal);
+      },
+      &out.critical_path);
   return out;
 }
 
@@ -690,7 +690,28 @@ const WhatIfResult& WhatIfEngine::run(const WhatIfPlan& plan) {
     memo_counter().add();
     return it->second;
   }
-  if (serial_scratch_.empty()) serial_scratch_.resize(1);
+  if (serial_scratch_.empty()) {
+    serial_scratch_.resize(1);
+    // Dependents of every anchor, for the frontier: chain successors and
+    // cross dependents, flat.
+    const WhatIfDag& g = *dag_;
+    const std::size_t a_n = g.num_anchors();
+    succ_off_.assign(a_n + 1, 0);
+    for (std::size_t s = 0; s < a_n; ++s) {
+      if (g.chain_[s] != WhatIfDag::knone) ++succ_off_[g.chain_[s] + 1];
+      for (std::uint32_t c = g.pred_off_[s]; c < g.pred_off_[s + 1]; ++c)
+        ++succ_off_[g.pred_[c] + 1];
+    }
+    for (std::size_t s = 0; s < a_n; ++s) succ_off_[s + 1] += succ_off_[s];
+    succ_.assign(succ_off_[a_n], WhatIfDag::knone);
+    std::vector<std::uint32_t> fill(succ_off_.begin(), succ_off_.end() - 1);
+    for (std::size_t s = 0; s < a_n; ++s) {
+      const auto me = static_cast<std::uint32_t>(s);
+      if (g.chain_[s] != WhatIfDag::knone) succ_[fill[g.chain_[s]]++] = me;
+      for (std::uint32_t c = g.pred_off_[s]; c < g.pred_off_[s + 1]; ++c)
+        succ_[fill[g.pred_[c]]++] = me;
+    }
+  }
   return memo_.emplace(key, evaluate(plan, serial_scratch_[0]))
       .first->second;
 }
@@ -718,29 +739,33 @@ std::vector<WhatIfResult> WhatIfEngine::run_many(
     if (first_of.emplace(key, i).second) miss.push_back(i);
   }
 
-  // Lane-batched fan-out: the missed plans spread evenly over the fewest
-  // kLaneWidth-wide blocks (9 plans: 5 + 4, not 8 + 1, so no block walks
-  // many more critical paths than another), each block one dense sweep
-  // whose time rows are 4 wide when it has at most 4 lanes.
-  // The block partition depends only on the (serially built) miss order,
-  // and lanes write disjoint columns, so results are identical at any
-  // worker count.
-  const std::size_t blocks = (miss.size() + kLaneWidth - 1) / kLaneWidth;
+  // Lane-batched fan-out: at least one block per worker while there are
+  // plans for it, else the fewest kLaneWidth-wide blocks, with lane counts
+  // that differ by at most one (9 plans on 4 workers: 3 + 2 + 2 + 2).  A
+  // block's rows are as wide as its lane count rounds up to.  Lanes write
+  // disjoint columns, so results are identical at any worker count.
+  const std::size_t m = miss.size();
+  const std::size_t blocks =
+      std::max((m + kLaneWidth - 1) / kLaneWidth, std::min(pool.size(), m));
   std::vector<BatchScratch> scratch(pool.size());
   pool.parallel_for(blocks, [&](std::size_t worker, std::size_t b) {
-    const std::size_t share = miss.size() / blocks;
-    const std::size_t extra = miss.size() % blocks;
+    const std::size_t share = m / blocks;
+    const std::size_t extra = m % blocks;
     const std::size_t begin = b * share + std::min(b, extra);
     const std::size_t lanes = share + (b < extra ? 1 : 0);
     WhatIfPlan lane_plans[kLaneWidth];
     WhatIfResult lane_out[kLaneWidth];
     for (std::size_t l = 0; l < lanes; ++l)
       lane_plans[l] = plans[miss[begin + l]];
-    if (lanes <= 4)
-      evaluate_block<4>(lane_plans, lanes, scratch[worker], lane_out);
+    BatchScratch& sc = scratch[worker];
+    if (lanes == 1)
+      evaluate_block<1>(lane_plans, lanes, sc, lane_out);
+    else if (lanes == 2)
+      evaluate_block<2>(lane_plans, lanes, sc, lane_out);
+    else if (lanes <= 4)
+      evaluate_block<4>(lane_plans, lanes, sc, lane_out);
     else
-      evaluate_block<kLaneWidth>(lane_plans, lanes, scratch[worker],
-                                 lane_out);
+      evaluate_block<kLaneWidth>(lane_plans, lanes, sc, lane_out);
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t i = miss[begin + l];
       results[i] = std::move(lane_out[l]);

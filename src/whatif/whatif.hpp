@@ -24,38 +24,44 @@
 // Perf core.  The dependency DAG is built ONCE per trace (`WhatIfDag`), in
 // time linear in the trace.  It is compressed to *anchors* — events that
 // carry cross dependencies, feed them, or bound a processor's chain.  Runs
-// of plain chain-only events between anchors collapse into gap sums, so an
-// experiment evaluates by forward delta propagation over the anchor graph
-// from the perturbed site only: a min-heap frontier pops anchors in trace
-// (= topological) order and pushes successors only when a time actually
-// changed.  Small speedups touch a small cone.  The tests hold it
-// bit-identical to a dense oracle that rewrites every event's cost and
-// re-simulates the full trace, with its own per-site membership and
-// dependency rules (tests/whatif_oracle.hpp).
+// of plain chain-only events between anchors collapse into gap sums.  A
+// single experiment (run()) finds its site's members in one sequential
+// trace scan and then evaluates by forward delta propagation over the
+// anchor graph from the perturbed anchors only: a min-heap frontier pops
+// anchors in trace (= topological) order and pushes successors only when a
+// time actually changed.  A sweep (run_many, rank) evaluates blocks of
+// experiments densely instead (below).  The tests hold both bit-identical
+// to a dense oracle that rewrites every event's cost and re-simulates the
+// full trace, with its own per-site membership and dependency rules
+// (tests/whatif_oracle.hpp).
 //
-// Footprint.  Site membership is kept in the form the trace already has:
-// a loop site as its merged episode ranges of trace indices, a lock site as
-// its held ranges of positions in TraceIndex::events_of(proc), and the
-// other sites as 32-bit lists of trace indices.  One 32-bit "slot or owner"
-// entry per event maps a member to its anchor slot (anchors) or to the next
-// anchor on its processor (plain events, whose cost t[i] - t[prev_on_proc]
-// is derived when an experiment is seeded), so no per-member cost is
-// stored.  Slots and trace indices are 32-bit, which TraceIndex's own
-// 2^32 - 2 event limit guarantees.
+// Footprint.  The DAG keeps only what every dense sweep reads: per anchor
+// its trace index, chain link, gap, local cost, baseline time and
+// processor, and the cross-predecessor CSR.  Slots and trace indices are
+// 32-bit, which TraceIndex's own 2^32 - 2 event limit guarantees.  Site
+// membership is not stored: an experiment gathers its plans' members in
+// one trace-order scan that carries the last time per processor, so a
+// plain member's cost t[i] - t[prev_on_proc] is derived as it passes and
+// summed into the removal pending before the next anchor on its processor.
+// The successor table only the sparse run() reads is built by the engine
+// on its first sparse experiment, and baseline per-anchor waiting is
+// derived from t0, d and the gap where run() needs it.
 //
-// Sweeps batch further: run_many spreads distinct plans evenly over the
-// fewest kLaneWidth-wide blocks, and one dense forward pass over the
-// anchor arrays computes a block's experiments at once (lane-minor time
-// rows), so the chain and cross-predecessor loads are paid once per
-// anchor, not once per experiment.  A block's rows are only as wide as it
-// needs: 4 lanes for a block of at most 4 plans, kLaneWidth otherwise.
-// The time rows are the only per-lane scratch: member anchors and seeded
-// gap removals are one lane-mask byte per anchor, and the sweep records a
-// chain-binds mask byte that the critical-path walk reads instead of
-// re-deriving it.  Blocks fan out
-// across a support::TaskPool with per-worker scratch arenas and results
-// are memoized per (site, pct) like experiments::run_grid memoizes actual
-// runs; results are bit-identical at any thread count and identical
+// Sweeps batch further: run_many splits its distinct plans into
+// max(ceil(plans / kLaneWidth), min(pool size, plans)) blocks of near-equal
+// lane counts, so every worker of the pool gets one when there are enough
+// plans, and each block is one dense forward pass over the anchor arrays
+// that computes its experiments at once (lane-minor time rows), fused with
+// the block's membership scan.  The chain and cross-predecessor loads are
+// paid once per anchor, not once per experiment.  A block's rows are only
+// as wide as its lane count (1, 2, 4 or kLaneWidth columns).  Besides the
+// time rows a block keeps one chain-binds lane-mask byte per anchor, and
+// one descending pass over the slots then walks every lane's critical path
+// at once: paths only move to lower slots, so the pass meets each lane's
+// steps in order.  Blocks fan out across a support::TaskPool with
+// per-worker scratch arenas and results are memoized per (site, pct) like
+// experiments::run_grid memoizes actual runs; each lane writes only its own
+// columns, so results are bit-identical at any thread count and identical
 // between the sparse and batched paths.
 #pragma once
 
@@ -116,9 +122,11 @@ struct WhatIfSpec {
 std::optional<WhatIfSpec> parse_whatif_spec(std::string_view spec,
                                             std::string* error);
 
-/// The per-trace dependency DAG, anchor-compressed, with per-site member
-/// tables and baseline metrics.  Built once; immutable afterwards.  Holds
-/// references to the index and registry: both must outlive the DAG.
+/// The per-trace dependency DAG, anchor-compressed, with baseline metrics.
+/// It stores no site membership and no successor table: experiments scan
+/// the trace for their members, and the engine builds successors for
+/// run() itself.  Built once; immutable afterwards.  Holds references to
+/// the index and registry: both must outlive the DAG.
 class WhatIfDag {
  public:
   static constexpr std::uint32_t knone = static_cast<std::uint32_t>(-1);
@@ -140,38 +148,27 @@ class WhatIfDag {
  private:
   friend class WhatIfEngine;
 
-  /// Inclusive range [first, last] of trace indices (a loop site).
-  struct TraceRange {
-    std::uint32_t first = 0, last = 0;
-  };
-  /// Inclusive range [first, last] of positions in events_of(proc) (a lock
-  /// site while `proc` holds it).
-  struct HeldRange {
-    trace::ProcId proc = 0;
-    std::uint32_t first = 0, last = 0;
-  };
-  /// One site's member events; a site uses exactly one of the three forms.
-  struct SiteMembers {
-    std::vector<std::uint32_t> events;    ///< stmt/sync/sem/barrier, ascending
-    std::vector<TraceRange> loop_ranges;  ///< disjoint, ascending
-    std::vector<HeldRange> held;
-  };
+  /// One trace-order scan for the members of `lanes` (<= kW) plans' sites.
+  /// Calls at_anchor(slot, scaled, gap_removal) for every anchor in slot
+  /// order: bit l of `scaled` is set when the anchor is a member of lane
+  /// l's site, and gap_removal[l] (kW entries) is the summed removal of
+  /// lane l's plain members folded into the anchor's gap.
+  template <std::size_t kW, typename AnchorFn>
+  void scan_members(const WhatIfPlan* plans, std::size_t lanes,
+                    AnchorFn&& at_anchor) const;
 
-  /// Calls on_anchor(slot) for every member anchor of `site` and
-  /// on_plain(owner slot, local cost d) for every plain member.
-  template <typename AnchorFn, typename PlainFn>
-  void for_each_member(SiteId site, AnchorFn&& on_anchor,
-                       PlainFn&& on_plain) const;
-
-  /// Critical-path walk over the anchor graph under an experiment's time
-  /// view: `time_of(slot)` is the anchor's (possibly re-evaluated) time,
-  /// `chain_binds(slot)` whether a chained anchor's same-processor chain
-  /// is at least as late as every cross predecessor.  The binding
-  /// predecessor is the latest one; ties prefer the same-processor chain,
-  /// and among cross predecessors the earliest in trace order.  Returns
-  /// the path length in ticks.
-  template <typename TimeFn, typename BindsFn>
-  Tick walk_critical_path(TimeFn&& time_of, BindsFn&& chain_binds) const;
+  /// Critical-path walks of `lanes` (<= kW) experiments in one descending
+  /// pass over the slots.  `time_of(slot, lane)` is an anchor's (possibly
+  /// re-evaluated) time, `chain_binds(slot, lane)` whether a chained
+  /// anchor's same-processor chain is at least as late as every cross
+  /// predecessor.  Each path starts at the latest per-processor chain
+  /// endpoint (ties to the larger slot) and steps to the binding
+  /// predecessor: the latest one, ties preferring the chain, and among
+  /// cross predecessors the earliest in trace order.  Writes the path
+  /// lengths in ticks to length[0..lanes).
+  template <std::size_t kW, typename TimeFn, typename BindsFn>
+  void walk_critical_paths(std::size_t lanes, TimeFn&& time_of,
+                           BindsFn&& chain_binds, Tick* length) const;
 
   /// The chain-binds predicate of chained anchor `s` computed from a time
   /// view and `gap_removal(slot)`, the cost removed from the plain run
@@ -180,13 +177,16 @@ class WhatIfDag {
   bool chain_binds(std::uint32_t s, TimeFn&& time_of,
                    GapFn&& gap_removal) const;
 
+  /// Baseline waiting at anchor `s`: how long its chain stalled on a cross
+  /// dependency in the recovered execution (0 without a chain).
+  Tick baseline_wait(std::uint32_t s) const noexcept {
+    return chain_[s] == knone
+               ? 0
+               : (t0_[s] - d_[s]) - (t0_[chain_[s]] + gap_[s]);
+  }
+
   const trace::TraceIndex* index_;
   const SiteRegistry* sites_;
-
-  /// Per event: its slot for an anchor, else the next anchor on its
-  /// processor (the owner whose gap it folds into).  An event is an anchor
-  /// iff event_of_[slot_or_owner_[i]] == i.
-  std::vector<std::uint32_t> slot_or_owner_;
 
   // Per anchor, slot order == ascending trace index (a topological order).
   std::vector<std::uint32_t> event_of_;  ///< slot -> trace index
@@ -195,18 +195,14 @@ class WhatIfDag {
                                          ///< this anchor (telescoped t0 sum)
   std::vector<Tick> d_;                  ///< the anchor's own local cost
   std::vector<Tick> t0_;                 ///< baseline (recovered) time
-  std::vector<Tick> w0_;                 ///< baseline waiting at this anchor
   std::vector<trace::ProcId> proc_;
   std::vector<std::uint32_t> pred_off_;  ///< cross preds, flat [off, off+1)
   std::vector<std::uint32_t> pred_;
-  std::vector<std::uint32_t> succ_off_;  ///< dependents, flat
-  std::vector<std::uint32_t> succ_;
 
   std::vector<std::uint32_t> first_slot_;  ///< per proc, knone if no events
   std::vector<std::uint32_t> last_slot_;
 
-  std::vector<SiteMembers> members_;  ///< by SiteId
-  std::size_t edges_ = 0;
+  std::size_t edges_ = 0;  ///< chain links plus cross edges
   WhatIfResult baseline_;
 };
 
@@ -232,17 +228,21 @@ class WhatIfEngine {
 
   /// A batch of experiments, memo-deduplicated then fanned out across
   /// `pool` with per-worker scratch arenas.  results[i] corresponds to
-  /// plans[i].  Distinct plans spread evenly over the fewest lane-batched
-  /// blocks: one dense forward pass over the anchor arrays computes up to
-  /// kLaneWidth experiments at once (lane-minor time rows), amortizing the
-  /// chain and cross-predecessor traversal that dominates a single sparse
-  /// evaluation.  Bit-identical to run() — both paths share the same
-  /// arithmetic.
+  /// plans[i].  The m distinct missed plans split into
+  /// max(ceil(m / kLaneWidth), min(pool.size(), m)) blocks whose lane
+  /// counts differ by at most one, so a sweep of at least pool-size plans
+  /// keeps every worker busy.  Each block is one dense forward pass over
+  /// the anchor arrays with rows as wide as its lane count rounds up to
+  /// (1, 2, 4 or kLaneWidth), amortizing the chain and cross-predecessor
+  /// traversal that dominates a single sparse evaluation.  The partition
+  /// depends only on the pool size and the plans, and each lane writes only
+  /// its own columns, so results are bit-identical at any pool size and
+  /// to run() — both paths share the same arithmetic.
   std::vector<WhatIfResult> run_many(const std::vector<WhatIfPlan>& plans,
                                      support::TaskPool& pool);
 
   /// Most experiments evaluated together by one dense sweep block in
-  /// run_many (a block of at most 4 uses 4-wide rows).
+  /// run_many.
   static constexpr std::size_t kLaneWidth = 8;
 
   /// Sweeps every site at the same speedup and returns the `top_n` regions
@@ -267,6 +267,10 @@ class WhatIfEngine {
 
   const WhatIfDag* dag_;
   std::vector<Scratch> serial_scratch_;  ///< lazily sized, for run()
+  /// Dependents of each anchor (chain successors and cross dependents),
+  /// flat; built on the first run() that evaluates.
+  std::vector<std::uint32_t> succ_off_;
+  std::vector<std::uint32_t> succ_;
   std::map<std::pair<SiteId, std::int64_t>, WhatIfResult> memo_;
 };
 

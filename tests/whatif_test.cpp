@@ -381,14 +381,15 @@ TEST(WhatIfEngine, RunManyReusesScratchAcrossUnevenBlocks) {
 }
 
 TEST(WhatIfEngine, RunManyMatchesReferenceAtBothRowWidths) {
-  // Blocks of up to 4 distinct plans sweep 4-wide time rows, larger ones
-  // 8-wide rows; 9 plans on one thread run a 5-lane block and then a 4-lane
-  // block on the same scratch, narrowing its rows.
+  // A block's rows are as wide as its lane count rounds up to: 1, 2, 4 or
+  // 8.  On one thread every plan count up to 8 is one block, and 9 plans
+  // run a 5-lane block and then a 4-lane block on the same scratch,
+  // narrowing its rows.
   const Trace t =
       recovered_workload_trace(workload::Family::kContention, 2, 8);
   const TraceIndex index(t);
   const SiteRegistry sites(index);
-  for (const std::size_t m : {1u, 3u, 4u, 5u, 8u, 9u})
+  for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 8u, 9u})
     expect_run_and_run_many_match_oracle(
         t, "contention:2 procs 8, " + std::to_string(m) + " plans",
         make_plans(sites, m), 1);
@@ -543,31 +544,131 @@ TEST(WhatIfEngine, MatchesReferenceWhenLoopIsTruncated) {
   expect_membership_case_matches_oracle(t, "truncated loop");
 }
 
+TEST(WhatIfEngine, MatchesReferenceWhenProcessorsEndTogether) {
+  // Processors 0 and 1 end at the same tick; the critical path starts at
+  // the later of the two in trace order (processor 1, length 50, where
+  // processor 0's chain would give 90).  Speeding up stmt#3 on processor 2
+  // keeps the tie, so a sweep lane walks from it too.
+  using trace::EventKind;
+  Trace t(trace::TraceInfo{"tie", 3, 1.0});
+  const auto add = [&](Tick time, trace::ProcId proc, EventKind kind,
+                       trace::EventId id) {
+    t.append({time, 0, id, 0, proc, kind});
+  };
+  add(10, 0, EventKind::kStmtEnter, 1);
+  add(30, 2, EventKind::kStmtEnter, 3);
+  add(40, 2, EventKind::kStmtExit, 3);
+  add(50, 1, EventKind::kStmtEnter, 2);
+  add(100, 0, EventKind::kStmtExit, 1);
+  add(100, 1, EventKind::kStmtExit, 2);
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  const WhatIfDag dag(index, sites);
+  EXPECT_EQ(dag.baseline_critical_path(), 50);
+  EXPECT_EQ(dag.baseline_critical_path(),
+            analysis::critical_path(index).length);
+  expect_membership_case_matches_oracle(t, "processors end together");
+}
+
 // ---- determinism, memoization, batching -----------------------------------
 
 TEST(WhatIfEngine, BitIdenticalAtAnyThreadCount) {
+  // The block partition depends on the pool size (one block per worker
+  // while there are plans for it), so every plan count is run at pool sizes
+  // that split it into one-lane blocks, uneven blocks and full-width
+  // blocks; the results must not depend on the split.
   const Trace t = recovered_trace(17, 8, 1000);
   const TraceIndex index(t);
   const SiteRegistry sites(index);
   const WhatIfDag dag(index, sites);
-  const std::vector<WhatIfPlan> plans = make_plans(sites, 24);
+  const std::vector<WhatIfPlan> all = make_plans(sites, 17);
+  std::vector<WhatIfResult> slow;
+  for (const WhatIfPlan& plan : all)
+    slow.push_back(whatif::whatif_oracle(index, sites, plan));
 
-  std::vector<std::vector<WhatIfResult>> by_threads;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  std::vector<WhatIfResult> ranked;  // rank's results by site, at pool 1
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     support::TaskPool pool(threads);
-    WhatIfEngine engine(dag);  // fresh engine: no memo carry-over
-    by_threads.push_back(engine.run_many(plans, pool));
+    for (const std::size_t m : {1u, 2u, 3u, 5u, 9u, 17u}) {
+      const std::vector<WhatIfPlan> plans(
+          all.begin(), all.begin() + static_cast<std::ptrdiff_t>(m));
+      WhatIfEngine engine(dag);  // fresh engine: no memo carry-over
+      const std::vector<WhatIfResult> fast = engine.run_many(plans, pool);
+      ASSERT_EQ(fast.size(), m);
+      for (std::size_t i = 0; i < m; ++i)
+        EXPECT_EQ(fast[i], slow[i])
+            << "pool " << threads << ", " << m << " plans, plan " << i;
+    }
+
+    WhatIfEngine engine(dag);
+    const auto ranking = engine.rank(50, pool, sites.size());
+    ASSERT_EQ(ranking.size(), sites.size()) << "pool " << threads;
+    std::vector<WhatIfResult> by_site(sites.size());
+    for (const whatif::SiteImpact& e : ranking) by_site[e.site] = e.result;
+    if (ranked.empty()) {
+      ranked = by_site;
+      for (analysis::SiteId s = 0; s < sites.size(); ++s)
+        EXPECT_EQ(ranked[s], whatif::whatif_oracle(index, sites, {s, 50}))
+            << sites.name(s);
+    }
+    EXPECT_EQ(by_site, ranked) << "pool " << threads;
   }
-  EXPECT_EQ(by_threads[0], by_threads[1]);
-  EXPECT_EQ(by_threads[0], by_threads[2]);
-  for (std::size_t i = 0; i < plans.size(); ++i)
-    EXPECT_EQ(by_threads[0][i], whatif::whatif_oracle(index, sites, plans[i]))
-        << i;
 
   // And the serial run() path agrees with the batched path.
   WhatIfEngine serial(dag);
-  for (std::size_t i = 0; i < plans.size(); ++i)
-    EXPECT_EQ(serial.run(plans[i]), by_threads[0][i]) << i;
+  for (std::size_t i = 0; i < all.size(); ++i)
+    EXPECT_EQ(serial.run(all[i]), slow[i]) << i;
+}
+
+TEST(WhatIfEngine, SparseRunBeforeAndAfterRunManyMatchesReference) {
+  // One engine serves sparse run() calls on both sides of a batch: the
+  // first run() builds the successor table the frontier needs, the batch
+  // does not use it, and run() after the batch still finds it intact.
+  const Trace t =
+      recovered_workload_trace(workload::Family::kContention, 1, 8);
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  const WhatIfDag dag(index, sites);
+  const std::vector<WhatIfPlan> plans =
+      make_plans(sites, std::max<std::size_t>(21, 3 * sites.size()));
+  const std::size_t third = plans.size() / 3;
+  const auto at = [&](std::size_t i) {
+    return plans.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  WhatIfEngine engine(dag);
+  support::TaskPool pool(3);
+  const auto check = [&](std::size_t i, const WhatIfResult& fast,
+                         const char* path) {
+    EXPECT_EQ(fast, whatif::whatif_oracle(index, sites, plans[i]))
+        << path << " site " << sites.name(plans[i].site) << " pct "
+        << plans[i].pct;
+  };
+  for (std::size_t i = 0; i < third; ++i) check(i, engine.run(plans[i]), "run");
+  const std::vector<WhatIfPlan> batch(at(third), at(2 * third));
+  const std::vector<WhatIfResult> fast = engine.run_many(batch, pool);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    check(third + i, fast[i], "run_many");
+  for (std::size_t i = 2 * third; i < plans.size(); ++i)
+    check(i, engine.run(plans[i]), "run after run_many");
+}
+
+TEST(WhatIfEngine, EmptySweepsReturnEmpty) {
+  // A trace whose events name no region has no sites to rank, and an
+  // empty batch evaluates nothing.
+  TraceBuilder b(2);
+  b.add(0, trace::EventKind::kProgramBegin);
+  b.stmt(0, 0).stmt(1, 0);
+  b.add(1, trace::EventKind::kUser);
+  b.add(0, trace::EventKind::kProgramEnd);
+  const Trace t = b.take();
+  const TraceIndex index(t);
+  const SiteRegistry sites(index);
+  ASSERT_EQ(sites.size(), 0u);
+  const WhatIfDag dag(index, sites);
+  WhatIfEngine engine(dag);
+  support::TaskPool pool(4);
+  EXPECT_TRUE(engine.rank(50, pool, 10).empty());
+  EXPECT_TRUE(engine.run_many({}, pool).empty());
 }
 
 TEST(WhatIfEngine, MemoizesPerSitePctCell) {
