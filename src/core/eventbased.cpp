@@ -1,10 +1,10 @@
 #include "core/eventbased.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "support/check.hpp"
@@ -318,11 +318,13 @@ class Reconstructor {
       if (!d.is_absent()) d.tm = r.measured_[f].time;
       return d;
     }
-    // An awaitE's partners: the index answers both in O(1) on traces
-    // without duplicate keys, so a blocked awaitE's retries cost nothing.
+    // An awaitE's partners: its key's last advance and its own awaitB (the
+    // latest before it on its processor).  The index answers both in O(1)
+    // on traces without duplicate advances whose awaitEs directly follow
+    // their awaitBs, so a blocked awaitE's retries cost nothing.
     Dep advance() const { return resolved(r.idx_.last_advance_of(i)); }
     Dep await_begin() const {
-      const std::size_t ab = r.idx_.last_await_begin_of(i);
+      const std::size_t ab = r.idx_.await_begin_before(i);
       if (ab == kNone) return Dep::absent();
       return Dep::ready(r.t_a_[ab], r.measured_[ab].time);
     }
@@ -421,6 +423,172 @@ trace::Trace CollectSink::take(const trace::TraceInfo& measured_info) {
   return approx;
 }
 
+namespace {
+
+/// A 32-bit handle into one of the streamed reconstructor's record vectors;
+/// kNoHandle is none.
+using Handle = std::uint32_t;
+constexpr Handle kNoHandle = 0xffffffffu;
+
+/// The handle of the next entry of a record vector holding `size` entries.
+/// Throws CheckError (one line) once handles would run out.
+Handle next_handle(std::size_t size) {
+  PERTURB_CHECK_MSG(
+      size < kNoHandle,
+      support::strf("a stream with %zu synchronization records is too long "
+                    "to reconstruct (the limit is 2^32 - 1 per kind)",
+                    size + 1));
+  return static_cast<Handle>(size);
+}
+
+/// Fibonacci hashing of an integer key plus a salt: FlatTable takes the top
+/// bits, which spread consecutive payloads of one object evenly.
+constexpr std::uint64_t hash_key(std::int64_t payload, std::uint64_t salt) {
+  return (static_cast<std::uint64_t>(payload) +
+          salt * 0xd6e8feb86659fd93ULL) *
+         0x9e3779b97f4a7c15ULL;
+}
+
+/// Open-addressing hash table with linear probing, the streamed
+/// reconstructor's one lookaside container.  A `Slot` is the whole entry,
+/// key and value, so each lookaside picks its own compact layout; it
+/// provides `Key`, `key()`, `vacant()` (true of a default-constructed
+/// Slot) and a static `hash(key)`.  The capacity is a power of two kept at
+/// a load of at most 7/8, and erase() shifts the rest of the probe run back
+/// over the gap, so erased entries leave no tombstones.  Only growth
+/// allocates.
+template <typename Slot>
+class FlatTable {
+ public:
+  using Key = typename Slot::Key;
+
+  FlatTable() { rehash(16); }
+
+  Slot* find(const Key& k) {
+    for (std::size_t i = home(k);; i = next(i)) {
+      Slot& s = slots_[i];
+      if (s.vacant()) return nullptr;
+      if (s.key() == k) return &s;
+    }
+  }
+
+  /// Stores `slot`, replacing the entry with its key if there is one.
+  Slot& assign(const Slot& slot) {
+    if ((size_ + 1) * 8 > slots_.size() * 7) rehash(slots_.size() * 2);
+    const Key k = slot.key();
+    std::size_t i = home(k);
+    for (; !slots_[i].vacant(); i = next(i))
+      if (slots_[i].key() == k) return slots_[i] = slot;
+    ++size_;
+    return slots_[i] = slot;
+  }
+
+  /// Removes the entry `s` points to (a find() result).
+  void erase(Slot& s) {
+    std::size_t hole = static_cast<std::size_t>(&s - slots_.data());
+    for (std::size_t i = next(hole); !slots_[i].vacant(); i = next(i)) {
+      // Entry i may fill the hole unless its home lies in (hole, i].
+      const std::size_t mask = slots_.size() - 1;
+      if (((i - home(slots_[i].key())) & mask) >= ((i - hole) & mask)) {
+        slots_[hole] = slots_[i];
+        hole = i;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+  }
+
+ private:
+  std::size_t home(const Key& k) const {
+    return static_cast<std::size_t>(Slot::hash(k) >> shift_);
+  }
+  std::size_t next(std::size_t i) const {
+    return (i + 1) & (slots_.size() - 1);
+  }
+
+  void rehash(std::size_t capacity) {
+    std::vector<Slot> old(capacity);
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& s : old) {
+      if (s.vacant()) continue;
+      std::size_t i = home(s.key());
+      while (!slots_[i].vacant()) i = next(i);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64;
+};
+
+/// The latest advance seen per sync key: 16 bytes.
+struct AdvanceSlot {
+  using Key = SyncKey;
+  std::int64_t payload = 0;
+  trace::ObjectId object = 0;
+  Handle rec = kNoHandle;  ///< the advance's time record; vacant if none
+
+  Key key() const { return {object, payload}; }
+  bool vacant() const { return rec == kNoHandle; }
+  static std::uint64_t hash(const Key& k) {
+    return hash_key(k.index, k.object);
+  }
+};
+
+/// A resolved await-begin that its await-end has not consumed yet.
+struct AwaitBSlot {
+  struct Key {
+    SyncKey key;
+    trace::ProcId proc = 0;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  std::int64_t payload = 0;
+  Tick ta = 0;
+  Tick tm = 0;
+  trace::ObjectId object = 0;
+  trace::ProcId proc = 0;
+  bool used = false;
+
+  Key key() const { return {{object, payload}, proc}; }
+  bool vacant() const { return !used; }
+  static std::uint64_t hash(const Key& k) {
+    return hash_key(k.key.index,
+                    (static_cast<std::uint64_t>(k.key.object) << 16) | k.proc);
+  }
+};
+
+/// A per-object handle: a lock's latest release record, a semaphore's
+/// state.
+struct ObjectSlot {
+  using Key = trace::ObjectId;
+  trace::ObjectId object = 0;
+  Handle value = kNoHandle;  ///< vacant if none
+
+  Key key() const { return object; }
+  bool vacant() const { return value == kNoHandle; }
+  static std::uint64_t hash(Key k) { return hash_key(0, k); }
+};
+
+/// One barrier episode's arrivals, ingested and resolved.
+struct BarrierSlot {
+  using Key = SyncKey;
+  std::int64_t payload = 0;
+  Tick max_ta = 0;
+  std::uint64_t seen = 0;  ///< arrivals ingested; vacant if none
+  std::uint64_t resolved = 0;
+  trace::ObjectId object = 0;
+
+  Key key() const { return {object, payload}; }
+  bool vacant() const { return seen == 0; }
+  static std::uint64_t hash(const Key& k) {
+    return hash_key(k.index, k.object);
+  }
+};
+
+}  // namespace
+
 /// Streamed reconstruction with the batch reconstructor's Retimer.
 /// Dependencies on already retired events are answered from small lookaside
 /// records created at ingest (one per advance / lock release / semaphore
@@ -428,13 +596,14 @@ trace::Trace CollectSink::take(const trace::TraceInfo& measured_info) {
 /// from a TraceIndex, and events wait in per-processor FIFO queues until
 /// their dependencies resolve.  Before end-of-stream a partner that has not
 /// been ingested yet may still arrive, so it blocks instead of being absent.
+///
+/// Ingest, drain and spill allocate only on growth: the queues keep their
+/// capacity across drains, records are 8-byte entries of one vector named
+/// by 32-bit handles, and the lookasides are FlatTables.
 struct StreamingReconstructor::Impl {
-  /// A dependency source's approximated time, shared between the pending
-  /// event that will resolve it and everyone captured a reference to it.
-  struct DepRec {
-    Tick ta = 0;
-    bool resolved = false;
-  };
+  /// A dependency record whose event is not resolved yet.  Approximated
+  /// times are clamped at 0 from the first event on, so none is this low.
+  static constexpr Tick kUnresolved = std::numeric_limits<Tick>::min();
 
   /// One LoopBegin: fork dependents need both its measured and approximated
   /// times.
@@ -444,122 +613,140 @@ struct StreamingReconstructor::Impl {
     bool resolved = false;
   };
 
-  /// A resolved await-begin's approximated and measured times.
-  struct AwaitBRec {
-    Tick ta = 0;
-    Tick tm = 0;
+  struct Semaphore {
+    std::size_t acquires = 0;      ///< acquires ingested
+    std::vector<Handle> releases;  ///< release records, in trace order
   };
 
-  struct BarrierRec {
-    std::size_t seen = 0;      ///< arrivals ingested
-    std::size_t resolved = 0;  ///< arrivals resolved
-    Tick max_ta = 0;
+  /// A pending event's dependency handles: `fork` is the loop ordinal of
+  /// its fork dependency; `aux` is the event's own record (advance,
+  /// lock/semaphore release), its captured dependency (lock acquire), a
+  /// LoopBegin's loop ordinal or a SemAcquire's per-object acquire ordinal.
+  struct Link {
+    Handle fork = kNoHandle;
+    Handle aux = kNoHandle;
   };
 
-  /// An ingested, not yet resolved event.  `rec` is the event's own DepRec
-  /// (advance, lock/semaphore release) or its captured dependency (lock
-  /// acquire); `self` is a LoopBegin's loop ordinal or a SemAcquire's
-  /// per-object acquire ordinal.  DepRecs live in `dep_arena_` (a deque:
-  /// appends never move existing elements), so a plain pointer stays valid
-  /// for the reconstructor's lifetime — no per-record heap allocation.
-  struct Pending {
-    Event e;
-    std::size_t index = 0;
-    std::size_t fork = kNone;  ///< loop ordinal of the fork dependency
-    std::size_t self = kNone;
-    DepRec* rec = nullptr;
-  };
+  /// One processor's events in ingest order; [head, size) are resident,
+  /// with their links at the same positions.  A drain retimes a resolved
+  /// run in place and spills it straight from `events`.
+  struct Queue {
+    std::vector<RetimedEvent> events;
+    std::vector<Link> links;
+    std::size_t head = 0;
 
-  struct AwaitBKey {
-    SyncKey key;
-    trace::ProcId proc = 0;
-    friend bool operator==(const AwaitBKey&, const AwaitBKey&) = default;
-  };
-  struct AwaitBKeyHash {
-    std::size_t operator()(const AwaitBKey& k) const noexcept {
-      return trace::SyncKeyHash{}(k.key) * 1000003u + k.proc;
+    void push(const RetimedEvent& r, Link link) {
+      if (events.size() == events.capacity()) make_room();
+      events.push_back(r);
+      links.push_back(link);
+    }
+
+    /// Forgets the retired events once none is resident.
+    void reset_if_drained() {
+      if (head != events.size()) return;
+      events.clear();
+      links.clear();
+      head = 0;
+    }
+
+   private:
+    /// With the storage full, drops the retired prefix when it is at least
+    /// a quarter of it (at most three moves per slot reclaimed), else grows
+    /// the storage by half: it stays within a small factor of the queue's
+    /// peak residency.
+    void make_room() {
+      if (head > 0 && head * 4 >= events.size()) {
+        const auto retired = static_cast<std::ptrdiff_t>(head);
+        events.erase(events.begin(), events.begin() + retired);
+        links.erase(links.begin(), links.begin() + retired);
+        head = 0;
+        return;
+      }
+      const std::size_t capacity = events.size() + events.size() / 2 + 16;
+      events.reserve(capacity);
+      links.reserve(capacity);
     }
   };
-  using AwaitBMap = std::unordered_map<AwaitBKey, AwaitBRec, AwaitBKeyHash>;
 
-  /// Pending event `pd`'s dependencies, answered from the lookasides.
+  /// Pending event `r`'s dependencies, answered from the lookasides.
   struct Source {
     Impl& s;
-    Pending& pd;
-    AwaitBMap::iterator await_begin_{};
+    RetimedEvent& r;
+    const Link link;
+    AwaitBSlot* await_begin_ = nullptr;
 
-    static Dep of(const DepRec* rec) {
-      if (rec == nullptr) return Dep::absent();
-      return rec->resolved ? Dep::ready(rec->ta) : Dep::blocked();
+    Dep of(Handle rec) const {
+      if (rec == kNoHandle) return Dep::absent();
+      const Tick ta = s.recs_[rec];
+      return ta == kUnresolved ? Dep::blocked() : Dep::ready(ta);
     }
     /// A partner not ingested yet: absent only once the stream has ended.
     Dep unseen() const { return s.eof_ ? Dep::absent() : Dep::blocked(); }
+    SyncKey key() const { return {r.event.object, r.event.payload}; }
 
     Dep fork() const {
-      if (pd.fork == kNone) return Dep::absent();
-      const LoopRec& lr = s.loop_recs_[pd.fork];
+      if (link.fork == kNoHandle) return Dep::absent();
+      const LoopRec& lr = s.loop_recs_[link.fork];
       return lr.resolved ? Dep::ready(lr.ta, lr.tm) : Dep::blocked();
     }
     Dep advance() const {
       // Latest seen wins, like TraceIndex::last_advance.
-      const auto it = s.advances_.find(SyncKey{pd.e.object, pd.e.payload});
-      return it == s.advances_.end() ? unseen() : of(it->second);
+      const AdvanceSlot* adv = s.advances_.find(key());
+      return adv == nullptr ? unseen() : of(adv->rec);
     }
     Dep await_begin() {
-      await_begin_ = s.awaitbs_.find(
-          AwaitBKey{SyncKey{pd.e.object, pd.e.payload}, pd.e.proc});
-      if (await_begin_ == s.awaitbs_.end()) return Dep::absent();
-      return Dep::ready(await_begin_->second.ta, await_begin_->second.tm);
+      await_begin_ = s.awaitbs_.find({key(), r.event.proc});
+      if (await_begin_ == nullptr) return Dep::absent();
+      return Dep::ready(await_begin_->ta, await_begin_->tm);
     }
     /// One await-end consumes one await-begin on its own processor: the
     /// lookaside tracks outstanding awaits (O(window)), not every await.
-    void retire_await_begin() { s.awaitbs_.erase(await_begin_); }
-    Dep lock_release() const { return of(pd.rec); }
-    std::size_t sem_ordinal() const { return pd.self; }
+    void retire_await_begin() { s.awaitbs_.erase(*await_begin_); }
+    Dep lock_release() const { return of(link.aux); }
+    std::size_t sem_ordinal() const { return link.aux; }
     Dep sem_release(std::size_t k) const {
-      const auto rel = s.sem_releases_.find(pd.e.object);
-      if (rel == s.sem_releases_.end() || k >= rel->second.size())
-        return unseen();
-      return of(rel->second[k]);
+      const ObjectSlot* sem = s.sem_slots_.find(r.event.object);
+      if (sem == nullptr) return unseen();
+      const std::vector<Handle>& releases = s.sems_[sem->value].releases;
+      return k < releases.size() ? of(releases[k]) : unseen();
     }
     Dep barrier_arrivals() const {
       // Arrivals precede departures in any consistent episode, so every
       // arrival is already ingested (seen) by the time the departure is at
       // its queue head — the seen count is the episode's full arrival list.
-      const auto it = s.barriers_.find(SyncKey{pd.e.object, pd.e.payload});
-      if (it == s.barriers_.end()) return Dep::absent();
-      if (it->second.resolved < it->second.seen) return Dep::blocked();
-      return Dep::ready(it->second.max_ta);
+      const BarrierSlot* b = s.barriers_.find(key());
+      if (b == nullptr) return Dep::absent();
+      if (b->resolved < b->seen) return Dep::blocked();
+      return Dep::ready(b->max_ta);
     }
     /// Publishes the event as a dependency source and retires it with its
     /// approximated time.
     void publish(Tick t) {
-      const Event& e = pd.e;
+      const Event& e = r.event;
       switch (e.kind) {
         case EventKind::kAdvance:
         case EventKind::kLockRelease:
         case EventKind::kSemRelease:
-          pd.rec->ta = t;
-          pd.rec->resolved = true;
+          s.recs_[link.aux] = t;
           break;
         case EventKind::kAwaitBegin:
-          s.awaitbs_[AwaitBKey{SyncKey{e.object, e.payload}, e.proc}] = {
-              t, e.time};
+          s.awaitbs_.assign(
+              {e.payload, t, e.time, e.object, e.proc, /*used=*/true});
           break;
         case EventKind::kBarrierArrive: {
-          BarrierRec& br = s.barriers_[SyncKey{e.object, e.payload}];
-          ++br.resolved;
-          br.max_ta = std::max(br.max_ta, t);
+          BarrierSlot& b = *s.barriers_.find(key());
+          ++b.resolved;
+          b.max_ta = std::max(b.max_ta, t);
           break;
         }
         case EventKind::kLoopBegin:
-          s.loop_recs_[pd.self].ta = t;
-          s.loop_recs_[pd.self].resolved = true;
+          s.loop_recs_[link.aux].ta = t;
+          s.loop_recs_[link.aux].resolved = true;
           break;
         default:
           break;
       }
-      pd.e.time = t;
+      r.event.time = t;
     }
   };
 
@@ -569,9 +756,17 @@ struct StreamingReconstructor::Impl {
 
   // ---- ingest -------------------------------------------------------------
 
-  DepRec* new_rec() {
-    dep_arena_.emplace_back();
-    return &dep_arena_.back();
+  Handle new_rec() {
+    const Handle h = next_handle(recs_.size());
+    recs_.push_back(kUnresolved);
+    return h;
+  }
+
+  Semaphore& semaphore(trace::ObjectId object) {
+    if (const ObjectSlot* sem = sem_slots_.find(object))
+      return sems_[sem->value];
+    sem_slots_.assign({object, next_handle(sems_.size())});
+    return sems_.emplace_back();
   }
 
   void push(const Event* events, std::size_t n) {
@@ -583,48 +778,50 @@ struct StreamingReconstructor::Impl {
   }
 
   void ingest(const Event& e) {
-    Pending pd;
-    pd.e = e;
-    pd.index = next_index_++;
-    pd.fork = forks_.step(e);
+    Link link;
+    if (const std::size_t fork = forks_.step(e); fork != kNone)
+      link.fork = static_cast<Handle>(fork);  // < loop_recs_.size()
 
-    const SyncKey key{e.object, e.payload};
     switch (e.kind) {
       case EventKind::kLoopBegin:
-        pd.self = loop_recs_.size();
+        link.aux = next_handle(loop_recs_.size());
         loop_recs_.push_back({e.time, 0, false});
         break;
       case EventKind::kAdvance:
-        pd.rec = new_rec();
-        advances_[key] = pd.rec;
+        link.aux = new_rec();
+        advances_.assign({e.payload, e.object, link.aux});
         break;
       case EventKind::kLockRelease:
-        pd.rec = new_rec();
-        lock_latest_[e.object] = pd.rec;
+        link.aux = new_rec();
+        locks_.assign({e.object, link.aux});
         break;
-      case EventKind::kLockAcquire: {
+      case EventKind::kLockAcquire:
         // Captured at ingest == the latest release *before* this event,
         // exactly TraceIndex::lock_dep.
-        const auto it = lock_latest_.find(e.object);
-        if (it != lock_latest_.end()) pd.rec = it->second;
+        if (const ObjectSlot* lock = locks_.find(e.object))
+          link.aux = lock->value;
+        break;
+      case EventKind::kSemAcquire: {
+        Semaphore& sem = semaphore(e.object);
+        link.aux = next_handle(sem.acquires++);
         break;
       }
-      case EventKind::kSemAcquire:
-        pd.self = sem_acquire_count_[e.object]++;
-        break;
       case EventKind::kSemRelease:
-        pd.rec = new_rec();
-        sem_releases_[e.object].push_back(pd.rec);
+        link.aux = new_rec();
+        semaphore(e.object).releases.push_back(link.aux);
         break;
       case EventKind::kBarrierArrive:
-        ++barriers_[key].seen;
+        if (BarrierSlot* b = barriers_.find({e.object, e.payload}))
+          ++b->seen;
+        else
+          barriers_.assign({e.payload, 0, 1, 0, e.object});
         break;
       default:
         break;
     }
 
     if (queues_.size() <= e.proc) queues_.resize(e.proc + 1u);
-    queues_[e.proc].push_back(std::move(pd));
+    queues_[e.proc].push({e, next_index_++}, link);
     ++resident_;
     resident_hwm_ = std::max(resident_hwm_, resident_);
   }
@@ -638,21 +835,21 @@ struct StreamingReconstructor::Impl {
     while (progress) {
       progress = false;
       for (std::size_t p = 0; p < queues_.size(); ++p) {
-        auto& q = queues_[p];
-        scratch_.clear();
-        while (!q.empty()) {
-          Source src{*this, q.front()};
-          if (!retimer_.try_resolve(q.front().e, src)) break;
-          scratch_.push_back({q.front().e, q.front().index});
-          q.pop_front();
-          --resident_;
-          progress = true;
+        Queue& q = queues_[p];
+        const std::size_t start = q.head;
+        for (; q.head < q.events.size(); ++q.head) {
+          RetimedEvent& r = q.events[q.head];
+          Source src{*this, r, q.links[q.head]};
+          if (!retimer_.try_resolve(r.event, src)) break;
         }
-        if (!scratch_.empty()) {
-          sink_->on_segment(static_cast<trace::ProcId>(p), scratch_.data(),
-                            scratch_.size());
-          ++spills_;
-        }
+        const std::size_t n = q.head - start;
+        if (n == 0) continue;
+        sink_->on_segment(static_cast<trace::ProcId>(p),
+                          q.events.data() + start, n);
+        ++spills_;
+        resident_ -= n;
+        progress = true;
+        q.reset_if_drained();
       }
     }
   }
@@ -678,25 +875,25 @@ struct StreamingReconstructor::Impl {
   std::uint64_t windows_ = 0;
   std::uint64_t spills_ = 0;
 
-  std::vector<std::deque<Pending>> queues_;  ///< by processor
-  std::vector<RetimedEvent> scratch_;
+  std::vector<Queue> queues_;  ///< by processor
 
-  // Ingest-side scan state (fork / ordinal assignment).
+  // Ingest-side scan state (fork assignment).
   trace::ForkScan forks_;
-  std::unordered_map<trace::ObjectId, std::size_t> sem_acquire_count_;
-  std::unordered_map<trace::ObjectId, DepRec*> lock_latest_;
 
-  // Dependency lookasides.  DepRecs are arena-allocated (16 bytes apiece, no
-  // per-record malloc): sync state is the only reconstructor footprint that
-  // scales with the trace, so its constant factor decides how far streaming
-  // undercuts batch peak RSS.
-  std::deque<DepRec> dep_arena_;
+  // Dependency lookasides.  Sync state is the only reconstructor footprint
+  // that scales with the trace, so its constant factor decides how far
+  // streaming undercuts batch peak RSS: an advance costs an 8-byte record
+  // and a 16-byte slot at a load of at most 7/8.
+  std::vector<Tick> recs_;  ///< approximated times, kUnresolved until known
   std::vector<LoopRec> loop_recs_;
-  std::unordered_map<SyncKey, DepRec*, trace::SyncKeyHash> advances_;
-  AwaitBMap awaitbs_;
-  std::unordered_map<trace::ObjectId, std::vector<DepRec*>> sem_releases_;
-  std::unordered_map<SyncKey, BarrierRec, trace::SyncKeyHash> barriers_;
+  FlatTable<AdvanceSlot> advances_;
+  FlatTable<AwaitBSlot> awaitbs_;
+  FlatTable<ObjectSlot> locks_;      ///< latest release record
+  FlatTable<ObjectSlot> sem_slots_;  ///< index into sems_
+  std::vector<Semaphore> sems_;
+  FlatTable<BarrierSlot> barriers_;
 };
+
 
 StreamingReconstructor::StreamingReconstructor(
     const AnalysisOverheads& overheads, const EventBasedOptions& options,

@@ -24,9 +24,12 @@
 // written once: event_based_approximation() answers every event's
 // dependencies from the trace's TraceIndex (the analyst path), and
 // StreamingReconstructor answers them from small lookaside records kept as
-// the trace streams by, in O(window) memory.  Both emit the approximated
-// trace through the same (t_a, measured index) merge of per-processor
-// chains, and both diagnose a dependency cycle with the same CheckError.
+// the trace streams by: its queues hold O(resident) events and its
+// lookasides O(sync sources) records, an advance costing an 8-byte record
+// and a 16-byte table slot at a load of at most 7/8.  Both emit the
+// approximated trace through the same (t_a, measured index) merge of
+// per-processor chains, and both diagnose a dependency cycle with the same
+// CheckError.
 #pragma once
 
 #include <cstddef>
@@ -121,7 +124,11 @@ class CollectSink final : public StreamSink {
 /// Windowed event-based reconstructor: consumes the measured trace in
 /// chunks, resolves events with the batch reconstructor's retiming body
 /// retire-as-you-go, and spills completed per-processor segments to a
-/// StreamSink with O(window + live sync state) resident events.
+/// StreamSink.  Memory is O(resident events + sync sources): the resident
+/// events (about the window) and one record per advance, lock or semaphore
+/// release, loop and barrier episode, and outstanding await-begin.
+/// Ingesting, draining and spilling allocate only when a queue or a
+/// lookaside outgrows its storage.
 ///
 /// Equivalence contract: on a happened-before-consistent trace — at most
 /// one advance per sync key, await-begins preceding their await-ends, and

@@ -122,8 +122,6 @@ void TraceIndex::finish_tables(bool advances_sorted, bool awaits_sorted,
   unique_advances_ = duplicate_advances_.empty();
 
   if (!awaits_sorted) sort_columns(await_keys_, await_idx_);
-  for (std::size_t k = 1; k < await_keys_.size(); ++k)
-    if (await_keys_[k] == await_keys_[k - 1]) unique_await_begins_ = false;
 
   // The awaitEs the builder could not resolve as they arrived.
   for (const std::uint32_t i : await_ends) {
@@ -156,11 +154,6 @@ TraceIndex::IndexRange TraceIndex::await_begins(SyncKey key,
           base + (hi - await_keys_.begin())};
 }
 
-std::size_t TraceIndex::last_await_begin(SyncKey key, ProcId proc) const {
-  const IndexRange r = await_begins(key, proc);
-  return r.empty() ? npos : r.back();
-}
-
 std::size_t TraceIndex::last_await_begin_before(SyncKey key, ProcId proc,
                                                 std::size_t i) const {
   const IndexRange r = await_begins(key, proc);
@@ -180,21 +173,23 @@ const TraceIndex::BarrierEpisode* TraceIndex::barrier_episode(
   return it == barrier_slot_.end() ? nullptr : &barriers_[it->second];
 }
 
-// Presized for `trace`: one counting pass sizes the per-processor lists and
-// the sync-table columns, and the per-event tables (the lazy ones on their
-// first entry) are allocated at the trace's length, so the batch index
-// holds no growth slack.
+// Presized for `trace`: one counting pass sizes the per-processor lists, the
+// sync-table columns and the iteration spans, and the per-event tables (the
+// lazy ones on their first entry) are allocated at the trace's length, so
+// the batch index holds no growth slack.
 IncrementalTraceIndex::IncrementalTraceIndex(const Trace& trace)
     : expected_(trace.size()) {
   TraceIndex::require_indexable(trace.size());
   std::vector<std::size_t> counts;
   std::size_t advances = 0;
   std::size_t await_begins = 0;
+  std::size_t iterations = 0;
   for (const Event& e : trace) {
     if (counts.size() <= e.proc) counts.resize(e.proc + 1u, 0);
     ++counts[e.proc];
     advances += e.kind == EventKind::kAdvance ? 1 : 0;
     await_begins += e.kind == EventKind::kAwaitBegin ? 1 : 0;
+    iterations += e.kind == EventKind::kIterBegin ? 1 : 0;
   }
   index_.prev_on_proc_.reserve(trace.size());
   index_.proc_events_.resize(counts.size());
@@ -204,6 +199,7 @@ IncrementalTraceIndex::IncrementalTraceIndex(const Trace& trace)
   index_.advance_idx_.reserve(advances);
   index_.await_keys_.reserve(await_begins);
   index_.await_idx_.reserve(await_begins);
+  index_.iters_.reserve(iterations);
   last_on_proc_.assign(counts.size(), TraceIndex::kNone32);
   append(trace.events().data(), trace.size());
 }

@@ -190,7 +190,6 @@ class TraceIndex {
 
   /// All awaitB events for (key, proc), ascending.
   IndexRange await_begins(SyncKey key, ProcId proc) const;
-  std::size_t last_await_begin(SyncKey key, ProcId proc) const;
   std::size_t last_await_begin_before(SyncKey key, ProcId proc,
                                       std::size_t i) const;
 
@@ -226,13 +225,6 @@ class TraceIndex {
     const std::size_t adv = awaited_advance(i);
     if (adv != npos && unique_advances_) return adv;
     return last_advance(key_of(i));
-  }
-  /// last_await_begin(key, proc): O(1) when no (key, proc) has two awaitBs
-  /// and i's previous event on its processor is its awaitB.
-  std::size_t last_await_begin_of(std::size_t i) const {
-    const std::size_t prev = prev_on_proc(i);
-    if (unique_await_begins_ && is_await_begin_of(prev, i)) return prev;
-    return last_await_begin(key_of(i), (*trace_)[i].proc);
   }
 
   // ---- cross-processor dependencies --------------------------------------
@@ -394,10 +386,8 @@ class TraceIndex {
   std::vector<AwaitKey> await_keys_;
   std::vector<std::uint32_t> await_idx_;
   std::vector<std::size_t> duplicate_advances_;
-  /// No key has two advances / no (key, proc) has two awaitBs: the guards
-  /// of the *_of fast paths.
+  /// No key has two advances: the guard of the *_advance_of fast paths.
   bool unique_advances_ = true;
-  bool unique_await_begins_ = true;
 
   std::unordered_map<ObjectId, std::vector<std::size_t>> sem_releases_;
   std::vector<BarrierEpisode> barriers_;  ///< sorted by key

@@ -88,7 +88,6 @@ void expect_partners_match_scan(const TraceIndex& idx, const Trace& t) {
     EXPECT_EQ(idx.await_begin_before(i), Scan::last_before(ab, i)) << i;
     EXPECT_EQ(idx.first_advance_of(i), adv ? adv->front() : npos) << i;
     EXPECT_EQ(idx.last_advance_of(i), adv ? adv->back() : npos) << i;
-    EXPECT_EQ(idx.last_await_begin_of(i), ab ? ab->back() : npos) << i;
   }
   EXPECT_GT(awaits, 0u);
 }

@@ -14,8 +14,8 @@
 //     approximation bit for bit — including when an await's partner advance
 //     lands in a later window, when the final chunk is torn, and across the
 //     Livermore grid {3,4,17} x {1,2,8} processors under fault injection —
-//     and digests to the committed batch reconstruction of every golden
-//     index trace;
+//     matches it on the degenerate advance/await traces, and digests to the
+//     committed batch reconstruction of every golden index trace;
 //   * AnalysisPipeline::run_stream_file matches run_file's event-based
 //     output and publishes the pipeline.stream.* metrics;
 //   * run_sealed (the server's prebuilt-index entry) matches run.
@@ -400,9 +400,9 @@ Trace batch_approx(const Trace& measured) {
 }
 
 /// Streams `measured` through a windowed reconstructor in `push_size`-event
-/// pushes and returns the collected approximation.
-Trace stream_approx(const Trace& measured, std::size_t window,
-                    std::size_t push_size) {
+/// pushes and returns its result with the collected approximation.
+core::EventBasedResult stream_result(const Trace& measured, std::size_t window,
+                                     std::size_t push_size) {
   CollectSink sink;
   StreamingReconstructor recon(overheads(), EventBasedOptions{}, window, sink);
   std::size_t off = 0;
@@ -411,8 +411,9 @@ Trace stream_approx(const Trace& measured, std::size_t window,
     recon.push(measured.events().data() + off, n);
     off += n;
   }
-  recon.finish();
-  return sink.take(measured.info());
+  core::EventBasedResult result = recon.finish();
+  result.approx = sink.take(measured.info());
+  return result;
 }
 
 TEST(StreamingReconstructor, WindowBoundarySplitsAdvanceAwaitPairs) {
@@ -423,7 +424,7 @@ TEST(StreamingReconstructor, WindowBoundarySplitsAdvanceAwaitPairs) {
   const Trace oracle = batch_approx(measured);
   for (const std::size_t window : {std::size_t{4}, std::size_t{64},
                                    std::size_t{1024}}) {
-    const Trace streamed = stream_approx(measured, window, 1);
+    const Trace streamed = stream_result(measured, window, 1).approx;
     EXPECT_EQ(streamed.events(), oracle.events()) << "window " << window;
     EXPECT_EQ(streamed.info().name, oracle.info().name);
   }
@@ -486,6 +487,32 @@ TEST(StreamingReconstructor, MatchesCommittedDigests) {
       const std::uint64_t got = trace::approx_digest(result);
       EXPECT_EQ(got, golden::kApproxDigests[i].value)
           << c.label << " window " << window << ": 0x" << std::hex << got;
+    }
+  }
+}
+
+// Degenerate advance/await pairings — interleaved awaits, duplicate
+// advances, an awaitE before its advance, a processor awaiting one key
+// twice, advances out of key order: at every window and push size the
+// streamed run re-times every event and classifies every wait as batch does.
+TEST(StreamingReconstructor, MatchesBatchOnDegenerateTraces) {
+  for (const auto& [label, measured] : golden::degenerate_traces()) {
+    const core::EventBasedResult batch =
+        core::event_based_approximation(measured, overheads());
+    for (const std::size_t window : {std::size_t{4}, std::size_t{64},
+                                     std::size_t{1024}}) {
+      for (const std::size_t push_size : {std::size_t{1}, std::size_t{97}}) {
+        SCOPED_TRACE(label + " window " + std::to_string(window) + " push " +
+                     std::to_string(push_size));
+        const core::EventBasedResult streamed =
+            stream_result(measured, window, push_size);
+        EXPECT_EQ(streamed.approx.events(), batch.approx.events());
+        EXPECT_EQ(streamed.awaits_total, batch.awaits_total);
+        EXPECT_EQ(streamed.waits_measured, batch.waits_measured);
+        EXPECT_EQ(streamed.waits_approx, batch.waits_approx);
+        EXPECT_EQ(streamed.waits_removed, batch.waits_removed);
+        EXPECT_EQ(streamed.waits_introduced, batch.waits_introduced);
+      }
     }
   }
 }
