@@ -307,10 +307,12 @@ class Reconstructor {
   struct Source {
     Reconstructor& r;
     std::size_t i;
+    std::size_t ab = kNone;  ///< the awaitB await_begin() paired
 
     Dep resolved(std::size_t j) const {
       if (j == kNone) return Dep::absent();
-      return r.resolved_[j] ? Dep::ready(r.t_a_[j]) : Dep::blocked();
+      return (r.resolved_[j] & kResolved) != 0 ? Dep::ready(r.t_a_[j])
+                                               : Dep::blocked();
     }
     Dep fork() const {
       const std::size_t f = r.idx_.fork_dep(i);
@@ -319,16 +321,18 @@ class Reconstructor {
       return d;
     }
     // An awaitE's partners: its key's last advance and its own awaitB (the
-    // latest before it on its processor).  The index answers both in O(1)
-    // on traces without duplicate advances whose awaitEs directly follow
-    // their awaitBs, so a blocked awaitE's retries cost nothing.
+    // latest before it on its processor), unless an earlier awaitE consumed
+    // that awaitB, as the streamed lookaside does.  The index answers both
+    // in O(1) on traces without duplicate advances whose awaitEs directly
+    // follow their awaitBs, so a blocked awaitE's retries cost nothing.
     Dep advance() const { return resolved(r.idx_.last_advance_of(i)); }
-    Dep await_begin() const {
-      const std::size_t ab = r.idx_.await_begin_before(i);
-      if (ab == kNone) return Dep::absent();
+    Dep await_begin() {
+      ab = r.idx_.await_begin_before(i);
+      if (ab == kNone || (r.resolved_[ab] & kConsumed) != 0)
+        return Dep::absent();
       return Dep::ready(r.t_a_[ab], r.measured_[ab].time);
     }
-    void retire_await_begin() const {}
+    void retire_await_begin() const { r.resolved_[ab] |= kConsumed; }
     Dep lock_release() const { return resolved(r.idx_.lock_dep(i)); }
     std::size_t sem_ordinal() const { return r.idx_.sem_ordinal(i); }
     Dep sem_release(std::size_t k) const {
@@ -341,14 +345,14 @@ class Reconstructor {
       if (ep == nullptr) return Dep::absent();
       Tick latest = 0;
       for (const std::size_t a : ep->arrivals) {
-        if (!r.resolved_[a]) return Dep::blocked();
+        if ((r.resolved_[a] & kResolved) == 0) return Dep::blocked();
         latest = std::max(latest, r.t_a_[a]);
       }
       return Dep::ready(latest);
     }
     void publish(Tick t) const {
       r.t_a_[i] = t;
-      r.resolved_[i] = 1;
+      r.resolved_[i] = kResolved;
     }
   };
 
@@ -381,8 +385,12 @@ class Reconstructor {
   const Trace& measured_;
   Retimer retimer_;
 
+  // Per-event flags; vector<bool> is slower.  An awaitB is consumed once
+  // an awaitE paired with it.
+  static constexpr std::uint8_t kResolved = 1;
+  static constexpr std::uint8_t kConsumed = 2;
   std::vector<Tick> t_a_;
-  std::vector<std::uint8_t> resolved_;  ///< flat flags; vector<bool> is slower
+  std::vector<std::uint8_t> resolved_;
 };
 
 }  // namespace

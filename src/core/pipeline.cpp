@@ -96,109 +96,75 @@ class TotalsSink final : public StreamSink {
   std::pair<trace::Tick, std::size_t> end_{};
 };
 
-class TimeBasedAnalyzer final : public Analyzer {
- public:
-  const char* name() const noexcept override { return "time-based"; }
-  AnalyzerOutput run(const TraceIndex& index,
-                     const PipelineOptions& options) const override {
-    AnalyzerOutput out;
-    out.analyzer = name();
-    out.approx = time_based_approximation(index.trace(), options.overheads);
-    return out;
-  }
-};
-
-class EventBasedAnalyzer final : public Analyzer {
- public:
-  const char* name() const noexcept override { return "event-based"; }
-  AnalyzerOutput run(const TraceIndex& index,
-                     const PipelineOptions& options) const override {
-    AnalyzerOutput out;
-    out.analyzer = name();
-    EventBasedResult result = event_based_approximation(
-        index, options.overheads, options.event_based);
-    out.approx = std::move(result.approx);
-    result.approx = Trace{};
-    out.event_stats = std::move(result);
-    return out;
-  }
-};
-
-class LiberalAnalyzer final : public Analyzer {
- public:
-  const char* name() const noexcept override { return "liberal"; }
-  AnalyzerOutput run(const TraceIndex& index,
-                     const PipelineOptions& options) const override {
-    AnalyzerOutput out;
-    out.analyzer = name();
-    const DoacrossShape shape =
-        extract_doacross_shape(index, options.overheads);
-    LiberalOptions replay;
-    replay.machine = options.machine;
-    replay.schedule = options.schedule;
-    LiberalResult result = liberal_approximation(shape, replay);
-    out.approx = std::move(result.approx);
-    result.approx = Trace{};
-    out.liberal = std::move(result);
-    return out;
-  }
-};
-
-class LikelyAnalyzer final : public Analyzer {
- public:
-  const char* name() const noexcept override { return "likely"; }
-  bool produces_trace() const noexcept override { return false; }
-  AnalyzerOutput run(const TraceIndex& index,
-                     const PipelineOptions& options) const override {
-    AnalyzerOutput out;
-    out.analyzer = name();
-    const DoacrossShape shape =
-        extract_doacross_shape(index, options.overheads);
-    LikelyOptions opt;
-    opt.machine = options.machine;
-    opt.schedule = options.schedule;
-    opt.samples = options.likely_samples;
-    opt.cost_uncertainty = options.likely_uncertainty;
-    opt.seed = options.seed;
-    opt.threads = options.threads;
-    out.distribution = likely_executions(shape, opt);
-    return out;
-  }
-};
-
-class AnalyticAnalyzer final : public Analyzer {
- public:
-  const char* name() const noexcept override { return "analytic"; }
-  bool produces_trace() const noexcept override { return false; }
-  AnalyzerOutput run(const TraceIndex& index,
-                     const PipelineOptions& options) const override {
-    AnalyzerOutput out;
-    out.analyzer = name();
-    const DoacrossShape shape =
-        extract_doacross_shape(index, options.overheads);
-    LiberalOptions replay;
-    replay.machine = options.machine;
-    replay.schedule = options.schedule;
-    out.analytic = analytic_approximation(shape, replay);
-    return out;
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<Analyzer> make_analyzer(AnalyzerKind kind) {
+const char* name_of(AnalyzerKind kind) {
   switch (kind) {
-    case AnalyzerKind::kTimeBased: return std::make_unique<TimeBasedAnalyzer>();
-    case AnalyzerKind::kEventBased:
-      return std::make_unique<EventBasedAnalyzer>();
-    case AnalyzerKind::kLiberal: return std::make_unique<LiberalAnalyzer>();
-    case AnalyzerKind::kLikely: return std::make_unique<LikelyAnalyzer>();
-    case AnalyzerKind::kAnalytic:
-      return std::make_unique<AnalyticAnalyzer>();
+    case AnalyzerKind::kTimeBased: return "time-based";
+    case AnalyzerKind::kEventBased: return "event-based";
+    case AnalyzerKind::kLiberal: return "liberal";
+    case AnalyzerKind::kLikely: return "likely";
+    case AnalyzerKind::kAnalytic: return "analytic";
   }
   PERTURB_CHECK_MSG(false, "unknown analyzer kind");
-  return nullptr;
+  return "";
 }
+
+/// True when the analyzer fills AnalyzerOutput::approx with a trace that can
+/// be scored against an actual execution.
+bool produces_trace(AnalyzerKind kind) {
+  return kind != AnalyzerKind::kLikely && kind != AnalyzerKind::kAnalytic;
+}
+
+/// One analysis pass over the shared index.  Reentrant: the pipeline runs
+/// analyzers concurrently, each writing only its own AnalyzerOutput.
+AnalyzerOutput run_analyzer(AnalyzerKind kind, const TraceIndex& index,
+                            const PipelineOptions& options) {
+  AnalyzerOutput out;
+  out.analyzer = name_of(kind);
+  // The replay modes re-simulate the loop shape the trace records.
+  const auto shape = [&] {
+    return extract_doacross_shape(index, options.overheads);
+  };
+  LiberalOptions replay;
+  replay.machine = options.machine;
+  replay.schedule = options.schedule;
+  switch (kind) {
+    case AnalyzerKind::kTimeBased:
+      out.approx = time_based_approximation(index.trace(), options.overheads);
+      break;
+    case AnalyzerKind::kEventBased: {
+      EventBasedResult result = event_based_approximation(
+          index, options.overheads, options.event_based);
+      out.approx = std::move(result.approx);
+      result.approx = Trace{};
+      out.event_stats = std::move(result);
+      break;
+    }
+    case AnalyzerKind::kLiberal: {
+      LiberalResult result = liberal_approximation(shape(), replay);
+      out.approx = std::move(result.approx);
+      result.approx = Trace{};
+      out.liberal = std::move(result);
+      break;
+    }
+    case AnalyzerKind::kLikely: {
+      LikelyOptions opt;
+      opt.machine = options.machine;
+      opt.schedule = options.schedule;
+      opt.samples = options.likely_samples;
+      opt.cost_uncertainty = options.likely_uncertainty;
+      opt.seed = options.seed;
+      opt.threads = options.threads;
+      out.distribution = likely_executions(shape(), opt);
+      break;
+    }
+    case AnalyzerKind::kAnalytic:
+      out.analytic = analytic_approximation(shape(), replay);
+      break;
+  }
+  return out;
+}
+
+}  // namespace
 
 std::string render_acquire(const AcquireOutcome& outcome) {
   std::string out;
@@ -229,12 +195,7 @@ AnalysisPipeline& AnalysisPipeline::operator=(AnalysisPipeline&&) noexcept =
     default;
 
 AnalysisPipeline& AnalysisPipeline::add(AnalyzerKind kind) {
-  return add(make_analyzer(kind));
-}
-
-AnalysisPipeline& AnalysisPipeline::add(std::unique_ptr<Analyzer> analyzer) {
-  PERTURB_CHECK(analyzer != nullptr);
-  analyzers_.push_back(std::move(analyzer));
+  analyzers_.push_back(kind);
   return *this;
 }
 
@@ -350,10 +311,10 @@ void AnalysisPipeline::run_analyzers(PipelineResult& result,
   // writes only its own slot, so the run is deterministic at any thread
   // count.
   pool.parallel_for(analyzers_.size(), [&](std::size_t k) {
-    const Analyzer& analyzer = *analyzers_[k];
-    checkpoint(options_, analyzer.name());
-    AnalyzerOutput out = analyzer.run(index, options_);
-    if (actual != nullptr && analyzer.produces_trace()) {
+    const AnalyzerKind kind = analyzers_[k];
+    checkpoint(options_, name_of(kind));
+    AnalyzerOutput out = run_analyzer(kind, index, options_);
+    if (actual != nullptr && produces_trace(kind)) {
       ApproximationQuality q =
           assess(result.acquire.measured, out.approx, *actual);
       q.degraded_input = result.acquire.degraded;
@@ -364,8 +325,9 @@ void AnalysisPipeline::run_analyzers(PipelineResult& result,
   });
 }
 
-PipelineResult AnalysisPipeline::run(AcquireOutcome acquired,
-                                     const Trace* actual) const {
+PipelineResult AnalysisPipeline::run_acquired(AcquireOutcome acquired,
+                                              const Trace* actual,
+                                              support::TaskPool& pool) const {
   PipelineResult result;
   result.acquire = std::move(acquired);
   if (!result.acquire.ok) return result;
@@ -373,7 +335,6 @@ PipelineResult AnalysisPipeline::run(AcquireOutcome acquired,
   kEventsMeasured.add(result.acquire.measured.size());
 
   checkpoint(options_, "index");
-  support::TaskPool pool(options_.threads);
   std::optional<TraceIndex> index;
   {
     const support::PhaseTimer timer(kPhaseIndex);
@@ -381,6 +342,12 @@ PipelineResult AnalysisPipeline::run(AcquireOutcome acquired,
   }
   run_analyzers(result, *index, actual, pool);
   return result;
+}
+
+PipelineResult AnalysisPipeline::run(AcquireOutcome acquired,
+                                     const Trace* actual) const {
+  support::TaskPool pool(options_.threads);
+  return run_acquired(std::move(acquired), actual, pool);
 }
 
 PipelineResult AnalysisPipeline::run_fused(
@@ -399,8 +366,6 @@ PipelineResult AnalysisPipeline::run_fused(
   trace::ValidateOptions validate_opts;
   validate_opts.sync_slack = options_.sync_slack;
   outcome.measured = std::move(measured);
-  kRuns.add();
-  kEventsMeasured.add(outcome.measured.size());
   // The index must be built after the trace reaches its final address
   // (outcome.measured); it is read only within this scope.
   std::optional<TraceIndex> index;
@@ -418,6 +383,8 @@ PipelineResult AnalysisPipeline::run_fused(
   kTriageViolations.add(outcome.violations.size());
   if (outcome.violations.empty()) {
     outcome.ok = true;
+    kRuns.add();
+    kEventsMeasured.add(outcome.measured.size());
     run_analyzers(result, *index, actual, pool);
     return result;
   }
@@ -426,16 +393,7 @@ PipelineResult AnalysisPipeline::run_fused(
   // or repair).  A repaired trace differs from the loaded one, so the shared
   // index is of no use past this point.  (Triage runs — and is counted —
   // again inside acquire; the counters tally work done, not work needed.)
-  PipelineResult degraded;
-  degraded.acquire = acquire(std::move(outcome.measured));
-  if (!degraded.acquire.ok) return degraded;
-  std::optional<TraceIndex> repaired_index;
-  {
-    const support::PhaseTimer timer(kPhaseIndex);
-    repaired_index.emplace(degraded.acquire.measured);
-  }
-  run_analyzers(degraded, *repaired_index, actual, pool);
-  return degraded;
+  return run_acquired(acquire(std::move(outcome.measured)), actual, pool);
 }
 
 PipelineResult AnalysisPipeline::run(Trace measured,
@@ -446,12 +404,21 @@ PipelineResult AnalysisPipeline::run(Trace measured,
 
 PipelineResult AnalysisPipeline::run_file(const std::string& path,
                                           const Trace* actual) const {
-  if (options_.repair != RepairMode::kOff) return run(acquire_file(path), actual);
-  checkpoint(options_, "load");
+  trace::IoArena arena;
   support::TaskPool pool(options_.threads);
+  return run_path(path, actual, arena, pool);
+}
+
+PipelineResult AnalysisPipeline::run_path(const std::string& path,
+                                          const Trace* actual,
+                                          trace::IoArena& arena,
+                                          support::TaskPool& pool) const {
+  if (options_.repair != RepairMode::kOff)
+    return run_acquired(acquire_file(path, arena), actual, pool);
+  checkpoint(options_, "load");
   Trace loaded = [&] {
     const support::PhaseTimer timer(kPhaseLoad);
-    return trace::load(path);
+    return trace::load(path, arena);
   }();
   return run_fused(std::move(loaded), actual, pool);
 }
@@ -581,25 +548,7 @@ PipelineResult AnalysisPipeline::run_one(const std::string& path,
                                          trace::IoArena& arena) const {
   try {
     support::TaskPool inline_pool(1);
-    if (options_.repair != RepairMode::kOff) {
-      PipelineResult result;
-      result.acquire = acquire_file(path, arena);
-      if (!result.acquire.ok) return result;
-      kRuns.add();
-      kEventsMeasured.add(result.acquire.measured.size());
-      std::optional<TraceIndex> index;
-      {
-        const support::PhaseTimer timer(kPhaseIndex);
-        index.emplace(result.acquire.measured);
-      }
-      run_analyzers(result, *index, actual, inline_pool);
-      return result;
-    }
-    Trace loaded = [&] {
-      const support::PhaseTimer timer(kPhaseLoad);
-      return trace::load(path, arena);
-    }();
-    return run_fused(std::move(loaded), actual, inline_pool);
+    return run_path(path, actual, arena, inline_pool);
   } catch (const trace::MalformedTraceError& e) {
     // Invalid content (empty file, bad magic, corrupt header): a per-entry
     // failure, same as an unreadable file — one bad input must not abort
@@ -628,7 +577,7 @@ std::vector<PipelineResult> AnalysisPipeline::run_many(
   return results;
 }
 
-std::string render_pipeline_report(const Trace& approx,
+std::string render_pipeline_report(const TraceIndex& index,
                                    const PipelineOptions& options) {
   analysis::WaitClassifier classifier;
   classifier.await_nowait = options.overheads.s_nowait;
@@ -637,7 +586,6 @@ std::string render_pipeline_report(const Trace& approx,
   classifier.barrier_depart = options.overheads.barrier_depart;
   classifier.tolerance = 2;
 
-  const TraceIndex index(approx);
   std::string out;
   const auto waits = analysis::waiting_analysis(index, classifier);
   out += "\n-- waiting --\n" + analysis::render_waiting_table(waits);

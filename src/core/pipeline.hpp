@@ -9,17 +9,16 @@
 // trace file or in-memory trace into an analyzable, happened-before
 // consistent measured trace, recording salvage/repair provenance.  The back
 // half builds one shared trace::TraceIndex and runs every registered
-// Analyzer over it — independent passes, so they execute on a deterministic
+// analyzer over it — independent passes, so they execute on a deterministic
 // task pool (support::parallel_for) with each analyzer writing only its own
 // output slot.
 //
-// The four approximation modes (time-based §3, event-based §4, liberal
-// §4.3, likely §4.1) are exposed as built-in analyzers; new analyses plug in
-// by implementing Analyzer and registering with AnalysisPipeline::add.
+// The approximation modes (time-based §3, event-based §4, liberal §4.3,
+// likely §4.1, analytic §12) are the analyzers, registered by AnalyzerKind
+// with AnalysisPipeline::add.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -106,7 +105,7 @@ AcquireOutcome trusted_acquire(trace::Trace measured);
 /// (their own `approx` members are left empty to avoid duplicating the
 /// trace).
 struct AnalyzerOutput {
-  std::string analyzer;  ///< Analyzer::name() of the producer
+  std::string analyzer;  ///< name of the producing analyzer
   trace::Trace approx;
   std::optional<EventBasedResult> event_stats;  ///< event-based only
   std::optional<LiberalResult> liberal;         ///< liberal only
@@ -115,21 +114,7 @@ struct AnalyzerOutput {
   std::optional<ApproximationQuality> quality;  ///< vs actual, when provided
 };
 
-/// One analysis pass over the shared index.  Implementations must be
-/// reentrant: the pipeline may run analyzers concurrently, each writing only
-/// its own AnalyzerOutput.
-class Analyzer {
- public:
-  virtual ~Analyzer() = default;
-  virtual const char* name() const noexcept = 0;
-  /// True when run() fills AnalyzerOutput::approx with a trace that can be
-  /// scored against an actual execution.
-  virtual bool produces_trace() const noexcept { return true; }
-  virtual AnalyzerOutput run(const trace::TraceIndex& index,
-                             const PipelineOptions& options) const = 0;
-};
-
-/// The built-in approximation modes.
+/// The approximation modes, each one analysis pass over the shared index.
 enum class AnalyzerKind : std::uint8_t {
   kTimeBased,   ///< §3 telescoped overhead subtraction
   kEventBased,  ///< §4 dependency-model reconstruction
@@ -137,8 +122,6 @@ enum class AnalyzerKind : std::uint8_t {
   kLikely,      ///< §4.1 Monte-Carlo distribution of likely executions
   kAnalytic,    ///< §12 closed-form model prediction (no simulation)
 };
-
-std::unique_ptr<Analyzer> make_analyzer(AnalyzerKind kind);
 
 struct PipelineResult {
   AcquireOutcome acquire;
@@ -186,7 +169,6 @@ class AnalysisPipeline {
   const PipelineOptions& options() const noexcept { return options_; }
 
   AnalysisPipeline& add(AnalyzerKind kind);
-  AnalysisPipeline& add(std::unique_ptr<Analyzer> analyzer);
 
   /// Acquisition only: load (salvaging when repairing), triage, repair.
   /// I/O failures throw trace::IoError; degraded-but-salvageable inputs come
@@ -254,8 +236,18 @@ class AnalysisPipeline {
       trace::Trace measured, const trace::Trace* actual,
       support::TaskPool& pool,
       trace::IncrementalTraceIndex* builder = nullptr) const;
-  /// run_file body for one batch item: loads through `arena`, runs
-  /// single-threaded, converts trace::IoError into a failed acquisition.
+  /// run_file's body: loads `path` through `arena`, then runs the fused
+  /// path, or (when repairing) acquires, indexes and analyzes on `pool`.
+  PipelineResult run_path(const std::string& path, const trace::Trace* actual,
+                          trace::IoArena& arena,
+                          support::TaskPool& pool) const;
+  /// run(AcquireOutcome)'s body: indexes an acquired trace and runs every
+  /// analyzer over it on `pool`; a failed acquisition runs nothing.
+  PipelineResult run_acquired(AcquireOutcome acquired,
+                              const trace::Trace* actual,
+                              support::TaskPool& pool) const;
+  /// run_path for one batch item, single-threaded, with trace::IoError and
+  /// trace::MalformedTraceError converted into a failed acquisition.
   PipelineResult run_one(const std::string& path, const trace::Trace* actual,
                          trace::IoArena& arena) const;
   void run_analyzers(PipelineResult& result, const trace::TraceIndex& index,
@@ -263,13 +255,13 @@ class AnalysisPipeline {
                      support::TaskPool& pool) const;
 
   PipelineOptions options_;
-  std::vector<std::unique_ptr<Analyzer>> analyzers_;
+  std::vector<AnalyzerKind> analyzers_;
 };
 
 /// Renders the §5.3 performance report (waiting table, parallelism,
-/// critical path) of an approximated trace, with classification thresholds
-/// taken from the pipeline's overheads.
-std::string render_pipeline_report(const trace::Trace& approx,
+/// critical path) of an approximated trace, read through its index, with
+/// classification thresholds taken from the pipeline's overheads.
+std::string render_pipeline_report(const trace::TraceIndex& approx,
                                    const PipelineOptions& options);
 
 }  // namespace perturb::core

@@ -237,7 +237,8 @@ class TraceIndex {
   /// Calls nothing when i has none.  The critical path takes the latest of
   /// them by time; the what-if DAG keeps them all, since re-evaluation can
   /// change which arrival is latest.  Arrivals come in trace order, which
-  /// both what-if evaluation paths rely on for identical tie-breaks.
+  /// the what-if critical-path walk relies on to break ties toward the
+  /// earliest arrival.
   template <typename Fn>
   void for_each_cross_dep(std::size_t i, Fn&& fn) const {
     const Event& e = (*trace_)[i];

@@ -1,7 +1,6 @@
 #include "whatif/whatif.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -26,7 +25,8 @@ const support::Counter& experiments_counter() {
   static const support::Counter c("whatif.experiments");
   return c;
 }
-const support::Counter& frontier_counter() {
+/// Anchor evaluations, one per anchor and lane of every block.
+const support::Counter& anchor_evals_counter() {
   static const support::Counter c("whatif.frontier.events");
   return c;
 }
@@ -48,8 +48,8 @@ bool is_dependency_source(EventKind kind) {
 }
 
 /// Cost removed from `d` by a `pct`-percent virtual speedup.  Truncating
-/// integer division, applied per event — the arithmetic the sparse and the
-/// lane-batched evaluations (and the test oracle) share for bit-identity.
+/// integer division, applied per event — the arithmetic the evaluator and
+/// the test oracle share for bit-identity.
 Tick removal_of(Tick d, std::int64_t pct) { return (d * pct) / 100; }
 
 }  // namespace
@@ -186,20 +186,16 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     seen = true;
   }
   baseline_.makespan = seen ? hi - lo : 0;
-  // Plain events wait 0 by construction.
+  // An anchor's chain stalled on its cross dependencies for as long as its
+  // base time exceeds the chain's; plain events wait 0 by construction.
   baseline_.waiting.assign(t.info().num_procs, 0);
   for (std::size_t s = 0; s < event_of_.size(); ++s)
-    if (proc_[s] < baseline_.waiting.size())
+    if (chain_[s] != knone && proc_[s] < baseline_.waiting.size())
       baseline_.waiting[proc_[s]] +=
-          baseline_wait(static_cast<std::uint32_t>(s));
-  const auto baseline_time = [&](std::uint32_t s) { return t0_[s]; };
+          (t0_[s] - d_[s]) - (t0_[chain_[s]] + gap_[s]);
   walk_critical_paths<1>(
       1, [&](std::uint32_t s, std::size_t) { return t0_[s]; },
-      [&](std::uint32_t s, std::size_t) {
-        return chain_binds(s, baseline_time, [](std::uint32_t) -> Tick {
-          return 0;
-        });
-      },
+      [&](std::uint32_t s, std::size_t) { return baseline_chain_binds(s); },
       &baseline_.critical_path);
 
   edges_gauge().record_max(static_cast<std::int64_t>(edges_));
@@ -340,12 +336,10 @@ void WhatIfDag::scan_members(const WhatIfPlan* plans, std::size_t lanes,
   }
 }
 
-template <typename TimeFn, typename GapFn>
-bool WhatIfDag::chain_binds(std::uint32_t s, TimeFn&& time_of,
-                            GapFn&& gap_removal) const {
-  const Tick chain_t = time_of(chain_[s]) + gap_[s] - gap_removal(s);
+bool WhatIfDag::baseline_chain_binds(std::uint32_t s) const noexcept {
+  const Tick chain_t = t0_[chain_[s]] + gap_[s];
   for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
-    if (time_of(pred_[c]) > chain_t) return false;
+    if (t0_[pred_[c]] > chain_t) return false;
   return true;
 }
 
@@ -403,27 +397,6 @@ void WhatIfDag::walk_critical_paths(std::size_t lanes, TimeFn&& time_of,
         end[l] == knone ? 0 : time_of(end[l], l) - time_of(cur[l], l);
 }
 
-struct WhatIfEngine::Scratch {
-  std::vector<Tick> time, gapdel, removal, wait;
-  std::vector<std::uint32_t> time_ep, gapdel_ep, removal_ep, queued_ep;
-  std::vector<std::uint32_t> heap;
-  std::uint32_t epoch = 0;
-
-  void ensure(std::size_t anchors, std::size_t procs) {
-    if (time.size() != anchors) {
-      time.assign(anchors, 0);
-      gapdel.assign(anchors, 0);
-      removal.assign(anchors, 0);
-      time_ep.assign(anchors, 0);
-      gapdel_ep.assign(anchors, 0);
-      removal_ep.assign(anchors, 0);
-      queued_ep.assign(anchors, 0);
-      epoch = 0;
-    }
-    wait.assign(procs, 0);
-  }
-};
-
 /// Scratch for one dense sweep block: lane-minor time rows of the block's
 /// row width W (slot s, lane l at index s * W + l), so the per-anchor chain
 /// and predecessor loads are shared by all lanes of a cache line, plus one
@@ -471,8 +444,8 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
   // membership scan: member anchors get removal_of applied to their own
   // cost, and plain members' removals arrive summed per lane as the gap
   // removal of their anchor.  Anchors the experiment does not touch
-  // re-evaluate to their baseline times exactly (telescoping), so no
-  // frontier bookkeeping is needed — each anchor's shared fields are loaded
+  // re-evaluate to their baseline times exactly (telescoping), so nothing
+  // tracks which times changed — each anchor's shared fields are loaded
   // once and applied row-wise to every lane (the lane loops are branch-free
   // over contiguous rows, so they vectorize).  All kW columns are computed
   // even on a partial block: unseeded columns just reproduce the baseline.
@@ -534,7 +507,7 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
       for (std::size_t l = 0; l < kW; ++l) row[l] = d0 - rem[l];
     }
   });
-  frontier_counter().add(anchors * lanes);
+  anchor_evals_counter().add(anchors * lanes);
 
   Tick path[kW] = {};
   g.walk_critical_paths<kW>(
@@ -574,114 +547,6 @@ void WhatIfEngine::validate(const WhatIfPlan& plan) const {
                       static_cast<long long>(plan.pct)));
 }
 
-WhatIfResult WhatIfEngine::evaluate(const WhatIfPlan& plan,
-                                    Scratch& sc) const {
-  const WhatIfDag& g = *dag_;
-  const std::size_t procs = g.baseline_.waiting.size();
-  sc.ensure(g.num_anchors(), procs);
-  const std::uint32_t ep = ++sc.epoch;
-  sc.heap.clear();
-
-  const auto push = [&](std::uint32_t s) {
-    if (sc.queued_ep[s] == ep) return;
-    sc.queued_ep[s] = ep;
-    sc.heap.push_back(s);
-    std::push_heap(sc.heap.begin(), sc.heap.end(),
-                   std::greater<std::uint32_t>());
-  };
-  const auto time_of = [&](std::uint32_t s) {
-    return sc.time_ep[s] == ep ? sc.time[s] : g.t0_[s];
-  };
-  const auto gap_removal = [&](std::uint32_t s) -> Tick {
-    return sc.gapdel_ep[s] == ep ? sc.gapdel[s] : 0;
-  };
-
-  // Seed: member anchors scale their own cost; plain members' removals
-  // arrive summed as the gap removal of their anchor.  Zero removals change
-  // nothing and are skipped, keeping the frontier cone tight.
-  g.scan_members<1>(&plan, 1, [&](std::uint32_t s, unsigned scaled,
-                                  const Tick* gde) {
-    if (scaled != 0) {
-      const Tick r = removal_of(g.d_[s], plan.pct);
-      if (r != 0) {
-        sc.removal_ep[s] = ep;
-        sc.removal[s] = r;
-        push(s);
-      }
-    }
-    if (gde[0] != 0) {
-      sc.gapdel_ep[s] = ep;
-      sc.gapdel[s] = gde[0];
-      push(s);
-    }
-  });
-
-  // Forward delta propagation: anchors pop in ascending slot (= trace =
-  // topological) order, so every predecessor is final when read.
-  // Successors are pushed only when a time actually changed.
-  std::uint64_t evaluated = 0;
-  while (!sc.heap.empty()) {
-    std::pop_heap(sc.heap.begin(), sc.heap.end(),
-                  std::greater<std::uint32_t>());
-    const std::uint32_t s = sc.heap.back();
-    sc.heap.pop_back();
-    ++evaluated;
-
-    const std::uint32_t q = g.chain_[s];
-    bool any = false;
-    Tick base = 0;
-    Tick chain_t = 0;
-    if (q != WhatIfDag::knone) {
-      chain_t = time_of(q) + g.gap_[s] - gap_removal(s);
-      base = chain_t;
-      any = true;
-    }
-    for (std::uint32_t c = g.pred_off_[s]; c < g.pred_off_[s + 1]; ++c) {
-      const Tick pt = time_of(g.pred_[c]);
-      if (!any || pt > base) base = pt;
-      any = true;
-    }
-    const Tick d =
-        g.d_[s] - (sc.removal_ep[s] == ep ? sc.removal[s] : 0);
-    const Tick t = (any ? base : 0) + d;
-    const Tick w = (q != WhatIfDag::knone && any) ? base - chain_t : 0;
-    if (g.proc_[s] < sc.wait.size())
-      sc.wait[g.proc_[s]] += w - g.baseline_wait(s);
-
-    const Tick old = g.t0_[s];
-    sc.time_ep[s] = ep;
-    sc.time[s] = t;
-    if (t != old)
-      for (std::uint32_t c = succ_off_[s]; c < succ_off_[s + 1]; ++c)
-        push(succ_[c]);
-  }
-  frontier_counter().add(evaluated);
-  experiments_counter().add();
-
-  WhatIfResult out;
-  Tick lo = 0, hi = 0;
-  bool seen = false;
-  for (std::size_t p = 0; p < g.first_slot_.size(); ++p) {
-    if (g.first_slot_[p] == WhatIfDag::knone) continue;
-    const Tick f = time_of(g.first_slot_[p]);
-    const Tick l = time_of(g.last_slot_[p]);
-    if (!seen || f < lo) lo = f;
-    if (!seen || l > hi) hi = l;
-    seen = true;
-  }
-  out.makespan = seen ? hi - lo : 0;
-  out.waiting.resize(procs);
-  for (std::size_t p = 0; p < procs; ++p)
-    out.waiting[p] = g.baseline_.waiting[p] + sc.wait[p];
-  g.walk_critical_paths<1>(
-      1, [&](std::uint32_t s, std::size_t) { return time_of(s); },
-      [&](std::uint32_t s, std::size_t) {
-        return g.chain_binds(s, time_of, gap_removal);
-      },
-      &out.critical_path);
-  return out;
-}
-
 const WhatIfResult& WhatIfEngine::run(const WhatIfPlan& plan) {
   validate(plan);
   const auto key = std::make_pair(plan.site, plan.pct);
@@ -690,30 +555,10 @@ const WhatIfResult& WhatIfEngine::run(const WhatIfPlan& plan) {
     memo_counter().add();
     return it->second;
   }
-  if (serial_scratch_.empty()) {
-    serial_scratch_.resize(1);
-    // Dependents of every anchor, for the frontier: chain successors and
-    // cross dependents, flat.
-    const WhatIfDag& g = *dag_;
-    const std::size_t a_n = g.num_anchors();
-    succ_off_.assign(a_n + 1, 0);
-    for (std::size_t s = 0; s < a_n; ++s) {
-      if (g.chain_[s] != WhatIfDag::knone) ++succ_off_[g.chain_[s] + 1];
-      for (std::uint32_t c = g.pred_off_[s]; c < g.pred_off_[s + 1]; ++c)
-        ++succ_off_[g.pred_[c] + 1];
-    }
-    for (std::size_t s = 0; s < a_n; ++s) succ_off_[s + 1] += succ_off_[s];
-    succ_.assign(succ_off_[a_n], WhatIfDag::knone);
-    std::vector<std::uint32_t> fill(succ_off_.begin(), succ_off_.end() - 1);
-    for (std::size_t s = 0; s < a_n; ++s) {
-      const auto me = static_cast<std::uint32_t>(s);
-      if (g.chain_[s] != WhatIfDag::knone) succ_[fill[g.chain_[s]]++] = me;
-      for (std::uint32_t c = g.pred_off_[s]; c < g.pred_off_[s + 1]; ++c)
-        succ_[fill[g.pred_[c]]++] = me;
-    }
-  }
-  return memo_.emplace(key, evaluate(plan, serial_scratch_[0]))
-      .first->second;
+  BatchScratch scratch;
+  WhatIfResult result;
+  evaluate_block<1>(&plan, 1, scratch, &result);
+  return memo_.emplace(key, std::move(result)).first->second;
 }
 
 std::vector<WhatIfResult> WhatIfEngine::run_many(

@@ -24,45 +24,37 @@
 // Perf core.  The dependency DAG is built ONCE per trace (`WhatIfDag`), in
 // time linear in the trace.  It is compressed to *anchors* — events that
 // carry cross dependencies, feed them, or bound a processor's chain.  Runs
-// of plain chain-only events between anchors collapse into gap sums.  A
-// single experiment (run()) finds its site's members in one sequential
-// trace scan and then evaluates by forward delta propagation over the
-// anchor graph from the perturbed anchors only: a min-heap frontier pops
-// anchors in trace (= topological) order and pushes successors only when a
-// time actually changed.  A sweep (run_many, rank) evaluates blocks of
-// experiments densely instead (below).  The tests hold both bit-identical
-// to a dense oracle that rewrites every event's cost and re-simulates the
-// full trace, with its own per-site membership and dependency rules
-// (tests/whatif_oracle.hpp).
+// of plain chain-only events between anchors collapse into gap sums.  Every
+// experiment is evaluated the same way: a block of experiments (one for
+// run(), up to kLaneWidth for a sweep) is one dense forward pass over the
+// anchor arrays, fused with the block's membership scan, that computes its
+// experiments at once (lane-minor time rows).  The tests hold it
+// bit-identical to a dense oracle that rewrites every event's cost and
+// re-simulates the full trace, with its own per-site membership and
+// dependency rules (tests/whatif_oracle.hpp).
 //
-// Footprint.  The DAG keeps only what every dense sweep reads: per anchor
+// Footprint.  The DAG keeps only what the forward pass reads: per anchor
 // its trace index, chain link, gap, local cost, baseline time and
 // processor, and the cross-predecessor CSR.  Slots and trace indices are
 // 32-bit, which TraceIndex's own 2^32 - 2 event limit guarantees.  Site
-// membership is not stored: an experiment gathers its plans' members in
-// one trace-order scan that carries the last time per processor, so a
-// plain member's cost t[i] - t[prev_on_proc] is derived as it passes and
-// summed into the removal pending before the next anchor on its processor.
-// The successor table only the sparse run() reads is built by the engine
-// on its first sparse experiment, and baseline per-anchor waiting is
-// derived from t0, d and the gap where run() needs it.
+// membership is not stored: a block gathers its plans' members in one
+// trace-order scan that carries the last time per processor, so a plain
+// member's cost t[i] - t[prev_on_proc] is derived as it passes and summed
+// into the removal pending before the next anchor on its processor.
 //
-// Sweeps batch further: run_many splits its distinct plans into
+// Sweeps: run_many splits its distinct plans into
 // max(ceil(plans / kLaneWidth), min(pool size, plans)) blocks of near-equal
 // lane counts, so every worker of the pool gets one when there are enough
-// plans, and each block is one dense forward pass over the anchor arrays
-// that computes its experiments at once (lane-minor time rows), fused with
-// the block's membership scan.  The chain and cross-predecessor loads are
-// paid once per anchor, not once per experiment.  A block's rows are only
-// as wide as its lane count (1, 2, 4 or kLaneWidth columns).  Besides the
-// time rows a block keeps one chain-binds lane-mask byte per anchor, and
-// one descending pass over the slots then walks every lane's critical path
-// at once: paths only move to lower slots, so the pass meets each lane's
-// steps in order.  Blocks fan out across a support::TaskPool with
-// per-worker scratch arenas and results are memoized per (site, pct) like
-// experiments::run_grid memoizes actual runs; each lane writes only its own
-// columns, so results are bit-identical at any thread count and identical
-// between the sparse and batched paths.
+// plans.  The chain and cross-predecessor loads are paid once per anchor,
+// not once per experiment.  A block's rows are only as wide as its lane
+// count (1, 2, 4 or kLaneWidth columns).  Besides the time rows a block
+// keeps one chain-binds lane-mask byte per anchor, and one descending pass
+// over the slots then walks every lane's critical path at once: paths only
+// move to lower slots, so the pass meets each lane's steps in order.
+// Blocks fan out across a support::TaskPool with per-worker scratch arenas
+// and results are memoized per (site, pct) like experiments::run_grid
+// memoizes actual runs; each lane writes only its own columns, so results
+// are bit-identical at any thread count and between run() and run_many.
 #pragma once
 
 #include <cstdint>
@@ -123,10 +115,9 @@ std::optional<WhatIfSpec> parse_whatif_spec(std::string_view spec,
                                             std::string* error);
 
 /// The per-trace dependency DAG, anchor-compressed, with baseline metrics.
-/// It stores no site membership and no successor table: experiments scan
-/// the trace for their members, and the engine builds successors for
-/// run() itself.  Built once; immutable afterwards.  Holds references to
-/// the index and registry: both must outlive the DAG.
+/// It stores no site membership: experiments scan the trace for their
+/// members.  Built once; immutable afterwards.  Holds references to the
+/// index and registry: both must outlive the DAG.
 class WhatIfDag {
  public:
   static constexpr std::uint32_t knone = static_cast<std::uint32_t>(-1);
@@ -170,20 +161,9 @@ class WhatIfDag {
   void walk_critical_paths(std::size_t lanes, TimeFn&& time_of,
                            BindsFn&& chain_binds, Tick* length) const;
 
-  /// The chain-binds predicate of chained anchor `s` computed from a time
-  /// view and `gap_removal(slot)`, the cost removed from the plain run
-  /// before an anchor.
-  template <typename TimeFn, typename GapFn>
-  bool chain_binds(std::uint32_t s, TimeFn&& time_of,
-                   GapFn&& gap_removal) const;
-
-  /// Baseline waiting at anchor `s`: how long its chain stalled on a cross
-  /// dependency in the recovered execution (0 without a chain).
-  Tick baseline_wait(std::uint32_t s) const noexcept {
-    return chain_[s] == knone
-               ? 0
-               : (t0_[s] - d_[s]) - (t0_[chain_[s]] + gap_[s]);
-  }
+  /// Whether chained anchor `s`'s same-processor chain is at least as late
+  /// as every cross predecessor in the recovered execution.
+  bool baseline_chain_binds(std::uint32_t s) const noexcept;
 
   const trace::TraceIndex* index_;
   const SiteRegistry* sites_;
@@ -213,7 +193,7 @@ struct SiteImpact {
   WhatIfResult result;
 };
 
-/// Runs experiments against one WhatIfDag by forward delta propagation,
+/// Runs experiments against one WhatIfDag by dense forward re-evaluation,
 /// memoizing per (site, pct).  Not thread-safe across calls: use one engine
 /// per thread; `run_many` parallelizes internally (bit-identical results at
 /// any pool size).  The DAG must outlive the engine.
@@ -222,8 +202,9 @@ class WhatIfEngine {
   explicit WhatIfEngine(const WhatIfDag& dag);
   ~WhatIfEngine();
 
-  /// One experiment.  Throws std::invalid_argument for a plan with an
-  /// out-of-range site or pct outside (0, 100].
+  /// One experiment, evaluated as a one-lane block.  Throws
+  /// std::invalid_argument for a plan with an out-of-range site or pct
+  /// outside (0, 100].
   const WhatIfResult& run(const WhatIfPlan& plan);
 
   /// A batch of experiments, memo-deduplicated then fanned out across
@@ -234,10 +215,9 @@ class WhatIfEngine {
   /// keeps every worker busy.  Each block is one dense forward pass over
   /// the anchor arrays with rows as wide as its lane count rounds up to
   /// (1, 2, 4 or kLaneWidth), amortizing the chain and cross-predecessor
-  /// traversal that dominates a single sparse evaluation.  The partition
-  /// depends only on the pool size and the plans, and each lane writes only
-  /// its own columns, so results are bit-identical at any pool size and
-  /// to run() — both paths share the same arithmetic.
+  /// traversal over its lanes.  The partition depends only on the pool size
+  /// and the plans, and each lane writes only its own columns, so results
+  /// are bit-identical at any pool size and to run().
   std::vector<WhatIfResult> run_many(const std::vector<WhatIfPlan>& plans,
                                      support::TaskPool& pool);
 
@@ -253,10 +233,8 @@ class WhatIfEngine {
   const WhatIfDag& dag() const noexcept { return *dag_; }
 
  private:
-  struct Scratch;
   struct BatchScratch;
 
-  WhatIfResult evaluate(const WhatIfPlan& plan, Scratch& scratch) const;
   /// Dense lane-batched evaluation: `lanes` (<= kW <= kLaneWidth) plans in
   /// one forward pass over every anchor with kW-wide time rows, writing
   /// out[0..lanes).
@@ -266,11 +244,6 @@ class WhatIfEngine {
   void validate(const WhatIfPlan& plan) const;
 
   const WhatIfDag* dag_;
-  std::vector<Scratch> serial_scratch_;  ///< lazily sized, for run()
-  /// Dependents of each anchor (chain successors and cross dependents),
-  /// flat; built on the first run() that evaluates.
-  std::vector<std::uint32_t> succ_off_;
-  std::vector<std::uint32_t> succ_;
   std::map<std::pair<SiteId, std::int64_t>, WhatIfResult> memo_;
 };
 

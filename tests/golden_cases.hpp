@@ -337,7 +337,9 @@ inline std::vector<ApproxCase> approx_cases() {
 ///     order, and every fifth key has no advance at all;
 ///   * "duplicate-await-begin": processor 1 awaits each key twice;
 ///   * "reversed-advances": each pair of keys is advanced in descending
-///     order, so the advances leave key order.
+///     order, so the advances leave key order;
+///   * "repeated-await-end": processor 1 ends each await twice after one
+///     awaitB, so the second awaitE finds its awaitB already consumed.
 inline std::vector<std::pair<std::string, trace::Trace>> degenerate_traces() {
   using trace::EventKind;
   struct Builder {
@@ -397,6 +399,13 @@ inline std::vector<std::pair<std::string, trace::Trace>> degenerate_traces() {
          b.add(1, EventKind::kAwaitEnd, 2 * r);
          b.add(2, EventKind::kAwaitBegin, 2 * r + 1);
          b.add(2, EventKind::kAwaitEnd, 2 * r + 1);
+       }},
+      {"repeated-await-end",
+       [](Builder& b, std::int64_t r) {
+         b.add(0, EventKind::kAdvance, r);
+         b.add(1, EventKind::kAwaitBegin, r);
+         b.add(1, EventKind::kAwaitEnd, r);
+         b.add(1, EventKind::kAwaitEnd, r);
        }},
   };
   std::vector<std::pair<std::string, trace::Trace>> out;

@@ -27,6 +27,9 @@
 //     paired each awaitE with its own awaitB (the latest before it on its
 //     processor) instead of the key's last awaitB on that processor, which
 //     on this trace comes after the first awaitE and was read unresolved.
+//     "repeated-await-end" was added once the batch reconstructor consumed
+//     the awaitB it pairs, as the streamed one does: its second awaitE of a
+//     key falls back to the time-based rule in both.
 // A digest that stops matching means the output changed: regenerate only
 // for a deliberate, explained change of the simulated, indexed or
 // reconstructed result.
@@ -256,6 +259,7 @@ inline constexpr Digest kAnalysesDigests[] = {
     {"await-before-advance", 0x848533a63bc596e2ULL},
     {"duplicate-await-begin", 0x3502c263479b392fULL},
     {"reversed-advances", 0x0891b0ca34d70951ULL},
+    {"repeated-await-end", 0x62a9ae9ff79eabedULL},
 };
 
 }  // namespace perturb::golden

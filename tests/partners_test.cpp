@@ -115,7 +115,7 @@ TEST(AwaitPartners, DuplicateAdvancesSeparateAwaitedFromWholeTraceAnswers) {
   std::map<std::string, Trace> traces;
   for (auto& [label, t] : golden::degenerate_traces())
     traces.emplace(label, std::move(t));
-  ASSERT_EQ(traces.size(), 5u);
+  ASSERT_EQ(traces.size(), 6u);
   EXPECT_FALSE(TraceIndex(traces.at("duplicate-advances"))
                    .duplicate_advances()
                    .empty());

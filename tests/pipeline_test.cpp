@@ -285,8 +285,8 @@ TEST(Pipeline, ReportRendersAllSections) {
   pipeline.add(AnalyzerKind::kEventBased);
   const PipelineResult result = pipeline.run(f.measured);
   ASSERT_TRUE(result.acquire.ok);
-  const std::string report =
-      render_pipeline_report(result.outputs[0].approx, options);
+  const trace::TraceIndex approx(result.outputs[0].approx);
+  const std::string report = render_pipeline_report(approx, options);
   EXPECT_NE(report.find("-- waiting --"), std::string::npos);
   EXPECT_NE(report.find("-- parallelism --"), std::string::npos);
   EXPECT_NE(report.find("-- critical path --"), std::string::npos);

@@ -493,8 +493,9 @@ TEST(StreamingReconstructor, MatchesCommittedDigests) {
 
 // Degenerate advance/await pairings — interleaved awaits, duplicate
 // advances, an awaitE before its advance, a processor awaiting one key
-// twice, advances out of key order: at every window and push size the
-// streamed run re-times every event and classifies every wait as batch does.
+// twice, advances out of key order, an awaitB ended twice: at every window
+// and push size the streamed run re-times every event and classifies every
+// wait as batch does.
 TEST(StreamingReconstructor, MatchesBatchOnDegenerateTraces) {
   for (const auto& [label, measured] : golden::degenerate_traces()) {
     const core::EventBasedResult batch =

@@ -621,9 +621,9 @@ TEST(WhatIfEngine, BitIdenticalAtAnyThreadCount) {
 }
 
 TEST(WhatIfEngine, SparseRunBeforeAndAfterRunManyMatchesReference) {
-  // One engine serves sparse run() calls on both sides of a batch: the
-  // first run() builds the successor table the frontier needs, the batch
-  // does not use it, and run() after the batch still finds it intact.
+  // One engine serves run() calls on both sides of a batch: the one-lane
+  // blocks before the batch and the memo they fill leave run_many's
+  // results intact, and run() after the batch still matches the oracle.
   const Trace t =
       recovered_workload_trace(workload::Family::kContention, 1, 8);
   const TraceIndex index(t);

@@ -343,10 +343,10 @@ int main(int argc, char** argv) {
         std::printf("approximated trace written to %s\n", path.c_str());
       }
       if (cli->get_bool("report", false))
-        std::printf(
-            "%s",
-            core::render_pipeline_report(out.event_stats.approx, options)
-                .c_str());
+        std::printf("%s", core::render_pipeline_report(
+                              trace::TraceIndex(out.event_stats.approx),
+                              options)
+                              .c_str());
       return tools::kExitOk;
     }
 
@@ -413,12 +413,14 @@ int main(int argc, char** argv) {
       trace::save(path, out.approx);
       std::printf("approximated trace written to %s\n", path.c_str());
     }
-    if (cli->get_bool("report", false))
-      std::printf("%s",
-                  core::render_pipeline_report(out.approx, options).c_str());
+    const bool report = cli->get_bool("report", false);
+    if (!report && !whatif_spec && whatif_rank == 0) return tools::kExitOk;
+    // One index of the approximation serves the report and the what-if.
+    const trace::TraceIndex index(out.approx);
+    if (report)
+      std::printf("%s", core::render_pipeline_report(index, options).c_str());
 
     if (whatif_spec || whatif_rank != 0) {
-      const trace::TraceIndex index(out.approx);
       const analysis::SiteRegistry sites(index);
       std::optional<whatif::WhatIfPlan> plan;
       if (whatif_spec) {
