@@ -24,8 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "experiments/grid.hpp"
 #include "support/check.hpp"
+#include "support/cli.hpp"
 #include "support/fsio.hpp"
 #include "support/text.hpp"
 
@@ -93,24 +94,24 @@ std::vector<experiments::Scenario> acceptance_grid(
     std::int64_t n, const experiments::Setup& setup) {
   using experiments::PlanKind;
   std::vector<experiments::Scenario> grid;
-  grid.push_back(
-      bench::concurrent_scenario(3, n, setup, PlanKind::kStatementsOnly));
-  grid.push_back(
-      bench::concurrent_scenario(4, n, setup, PlanKind::kStatementsOnly));
-  grid.push_back(bench::concurrent_scenario(8, n, setup, PlanKind::kFull));
-  grid.push_back(bench::concurrent_scenario(13, n, setup, PlanKind::kFull));
-  grid.push_back(bench::concurrent_scenario(14, n, setup, PlanKind::kFull));
-  grid.push_back(bench::concurrent_scenario(18, n, setup, PlanKind::kFull));
-  grid.push_back(bench::sequential_scenario(17, n, setup));
-  grid.push_back(
-      bench::sequential_scenario(17, n, setup, experiments::PlanKind::kFull));
-  grid.push_back(
-      bench::sequential_scenario(20, n, setup, experiments::PlanKind::kFull));
+  using experiments::ExecMode;
+  const auto seq = ExecMode::kSequential;
+  grid.push_back({.loop = 3, .n = n, .setup = setup});
+  grid.push_back({.loop = 4, .n = n, .setup = setup});
+  grid.push_back({.loop = 8, .n = n, .setup = setup, .plan = PlanKind::kFull});
+  grid.push_back({.loop = 13, .n = n, .setup = setup, .plan = PlanKind::kFull});
+  grid.push_back({.loop = 14, .n = n, .setup = setup, .plan = PlanKind::kFull});
+  grid.push_back({.loop = 18, .n = n, .setup = setup, .plan = PlanKind::kFull});
+  grid.push_back({.loop = 17, .n = n, .mode = seq, .setup = setup});
+  grid.push_back({.loop = 17, .n = n, .mode = seq, .setup = setup,
+                  .plan = PlanKind::kFull});
+  grid.push_back({.loop = 20, .n = n, .mode = seq, .setup = setup,
+                  .plan = PlanKind::kFull});
   // Fall-through by design:
-  grid.push_back(bench::concurrent_scenario(3, n, setup, PlanKind::kFull));
-  grid.push_back(bench::concurrent_scenario(4, n, setup, PlanKind::kFull));
-  grid.push_back(bench::concurrent_scenario(1, n, setup, PlanKind::kFull,
-                                            sim::Schedule::kSelf));
+  grid.push_back({.loop = 3, .n = n, .setup = setup, .plan = PlanKind::kFull});
+  grid.push_back({.loop = 4, .n = n, .setup = setup, .plan = PlanKind::kFull});
+  grid.push_back({.loop = 1, .n = n, .schedule = sim::Schedule::kSelf,
+                  .setup = setup, .plan = PlanKind::kFull});
   return grid;
 }
 
@@ -125,12 +126,11 @@ int main(int argc, char** argv) {
   const std::int64_t n = cli.get_int("n", 600);
   const std::int64_t crossval_n = cli.get_int("crossval-n", 300);
   const auto threads = static_cast<std::size_t>(cli.get_int("threads", 2));
-  const experiments::Setup setup = bench::setup_from_cli(cli);
+  const experiments::Setup setup = experiments::setup_from_cli(cli);
 
-  bench::print_header(
-      "BENCH model",
-      "analytical screening of experiment grids versus full\n"
-      "simulate+reconstruct (DESIGN.md §12)");
+  std::printf(
+      "== BENCH model ==\nanalytical screening of experiment grids versus "
+      "full\nsimulate+reconstruct (DESIGN.md §12)\n\n");
 
   const auto grid = acceptance_grid(n, setup);
   const experiments::GridOptions grid_options{.threads = threads,
@@ -209,9 +209,11 @@ int main(int argc, char** argv) {
     for (int k = 1; k <= 24; ++k) {
       for (const auto plan : {experiments::PlanKind::kStatementsOnly,
                               experiments::PlanKind::kFull}) {
-        cells.push_back(bench::sequential_scenario(k, crossval_n, setup, plan));
-        cells.push_back(bench::concurrent_scenario(k, crossval_n, setup, plan));
-        cells.push_back(bench::vector_scenario(k, crossval_n, setup, plan));
+        for (const auto mode : {experiments::ExecMode::kSequential,
+                                experiments::ExecMode::kConcurrent,
+                                experiments::ExecMode::kVector})
+          cells.push_back({.loop = k, .n = crossval_n, .mode = mode,
+                           .setup = setup, .plan = plan});
       }
     }
     const auto runs = experiments::run_grid(cells, grid_options);
@@ -270,7 +272,7 @@ int main(int argc, char** argv) {
     for (const auto plan : {experiments::PlanKind::kStatementsOnly,
                             experiments::PlanKind::kFull})
       confident_sweep.push_back(
-          bench::concurrent_scenario(loop, n, setup, plan));
+          {.loop = loop, .n = n, .setup = setup, .plan = plan});
   const auto sweep = experiments::run_grid_screened(confident_sweep,
                                                     screen_options);
   PERTURB_CHECK_MSG(sweep.fallthrough == 0,

@@ -30,7 +30,6 @@
 
 #include <unistd.h>
 
-#include "bench_util.hpp"
 #include "experiments/experiments.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -126,9 +125,9 @@ int main(int argc, char** argv) {
   const std::int64_t n = cli.get_int("n", 200);
   const auto slow_samples =
       static_cast<std::uint32_t>(cli.get_int("slow-samples", 50000));
-  bench::print_header("BENCH server",
-                      "daemon throughput at capacity vs under overload, and "
-                      "the cost of a structured rejection");
+  std::printf(
+      "== BENCH server ==\ndaemon throughput at capacity vs under overload, "
+      "and the cost of a structured rejection\n\n");
 
   experiments::Setup setup;
   const auto run = experiments::run_concurrent_experiment(

@@ -33,8 +33,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "experiments/grid.hpp"
 #include "support/check.hpp"
+#include "support/cli.hpp"
 #include "support/fsio.hpp"
 #include "support/text.hpp"
 #include "workload/workload.hpp"
@@ -81,12 +82,12 @@ int main(int argc, char** argv) {
   const std::string phase_path = cli.get("phase-out", "WORKLOAD_phase.json");
   const std::int64_t trip = cli.get_int("trip", 600);
   const auto threads = static_cast<std::size_t>(cli.get_int("threads", 2));
-  const experiments::Setup setup = bench::setup_from_cli(cli);
+  const experiments::Setup setup = experiments::setup_from_cli(cli);
 
-  bench::print_header(
-      "BENCH workload",
-      "reconstruction-error phase diagrams over synthesized workloads\n"
-      "(heavy tails, contention density, bursty interference; DESIGN.md §14)");
+  std::printf(
+      "== BENCH workload ==\nreconstruction-error phase diagrams over "
+      "synthesized workloads\n(heavy tails, contention density, bursty "
+      "interference; DESIGN.md §14)\n\n");
 
   const std::vector<std::uint64_t> seeds = {5, 7, 9};
   std::vector<PhaseCell> cells;

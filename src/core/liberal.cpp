@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/ir.hpp"
 #include "support/check.hpp"
@@ -23,7 +24,8 @@ constexpr std::int64_t kPairStride = std::int64_t{1} << 32;
 }  // namespace
 
 DoacrossShape extract_doacross_shape(const TraceIndex& index,
-                                     const AnalysisOverheads& ov) {
+                                     const AnalysisOverheads& ov,
+                                     const sim::MachineConfig& replay) {
   const Trace& measured = index.trace();
   PERTURB_CHECK_MSG(index.loops().size() <= 1,
                     "liberal analysis supports a single parallel loop");
@@ -108,9 +110,12 @@ DoacrossShape extract_doacross_shape(const TraceIndex& index,
           break;
         case EventKind::kAdvance:
           if (segment == Segment::kOutside) break;
-          // The gap is the advance operation itself: excluded (the replay's
-          // machine model re-adds it).  An advance with no preceding await
-          // (first d iterations) simply ends the pre segment.
+          // The gap ends with the advance operation itself, which the
+          // replay machine re-adds; the rest is untraced work of the current
+          // segment (a compiler-generated guarded update between awaitE and
+          // advance).  An advance with no preceding await (first d
+          // iterations) ends the pre segment.
+          add_gap(std::max<Tick>(0, gap - replay.advance_cost));
           current.has_advance = true;
           segment = Segment::kPost;
           break;
@@ -134,9 +139,10 @@ DoacrossShape extract_doacross_shape(const TraceIndex& index,
 }
 
 DoacrossShape extract_doacross_shape(const Trace& measured,
-                                     const AnalysisOverheads& ov) {
+                                     const AnalysisOverheads& ov,
+                                     const sim::MachineConfig& replay) {
   const TraceIndex index(measured);
-  return extract_doacross_shape(index, ov);
+  return extract_doacross_shape(index, ov, replay);
 }
 
 sim::Program lower_doacross_shape(const DoacrossShape& shape,
@@ -184,20 +190,23 @@ sim::Program lower_doacross_shape(const DoacrossShape& shape,
 LiberalResult liberal_approximation(const DoacrossShape& shape,
                                     const LiberalOptions& options) {
   const sim::Program prog = lower_doacross_shape(shape, options.schedule);
-  const auto trip = static_cast<std::int64_t>(shape.iterations.size());
+  return summarize_loop(
+      sim::simulate_actual(options.machine, prog, "liberal-replay"));
+}
 
+LiberalResult summarize_loop(Trace trace) {
   LiberalResult result;
-  result.approx =
-      sim::simulate_actual(options.machine, prog, "liberal-replay");
-
+  result.approx = std::move(trace);
   Tick begin = 0;
   Tick end = 0;
-  result.iteration_to_proc.assign(static_cast<std::size_t>(trip), 0);
   for (const Event& e : result.approx) {
     if (e.kind == EventKind::kLoopBegin) begin = e.time;
     if (e.kind == EventKind::kLoopEnd) end = e.time;
-    if (e.kind == EventKind::kIterBegin)
-      result.iteration_to_proc[static_cast<std::size_t>(e.payload)] = e.proc;
+    if (e.kind != EventKind::kIterBegin) continue;
+    const auto iteration = static_cast<std::size_t>(e.payload);
+    if (iteration >= result.iteration_to_proc.size())
+      result.iteration_to_proc.resize(iteration + 1, 0);
+    result.iteration_to_proc[iteration] = e.proc;
   }
   result.loop_time = end - begin;
   return result;

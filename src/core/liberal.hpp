@@ -52,13 +52,18 @@ struct DoacrossShape {
 /// Extracts the shape of the (single) parallel loop in `measured`.
 /// Requires loop/iteration markers and (for DOACROSS) sync events in the
 /// trace; throws CheckError if the trace does not fit the model (multiple
-/// advances per iteration, non-constant distance, ...).
+/// advances per iteration, non-constant distance, ...).  `replay` is the
+/// machine the shape will be re-simulated on: its advance_cost is the part
+/// of each awaitE→advance gap that the replay re-adds, so only the rest
+/// counts as guarded work.
 DoacrossShape extract_doacross_shape(const trace::Trace& measured,
-                                     const AnalysisOverheads& overheads);
+                                     const AnalysisOverheads& overheads,
+                                     const sim::MachineConfig& replay);
 
 /// Same extraction over a pre-built index of the measured trace.
 DoacrossShape extract_doacross_shape(const trace::TraceIndex& index,
-                                     const AnalysisOverheads& overheads);
+                                     const AnalysisOverheads& overheads,
+                                     const sim::MachineConfig& replay);
 
 struct LiberalOptions {
   sim::MachineConfig machine;  ///< machine model for the re-simulation
@@ -81,5 +86,11 @@ sim::Program lower_doacross_shape(const DoacrossShape& shape,
 /// Re-simulates the extracted loop under the asserted scheduling policy.
 LiberalResult liberal_approximation(const DoacrossShape& shape,
                                     const LiberalOptions& options);
+
+/// Summarizes a trace of one parallel loop the way liberal_approximation
+/// summarizes its re-simulation (the trace moves into `approx`), so an
+/// actual run or a conservative approximation of the same loop can be
+/// compared with it field by field.
+LiberalResult summarize_loop(trace::Trace trace);
 
 }  // namespace perturb::core

@@ -122,7 +122,7 @@ AnalyzerOutput run_analyzer(AnalyzerKind kind, const TraceIndex& index,
   out.analyzer = name_of(kind);
   // The replay modes re-simulate the loop shape the trace records.
   const auto shape = [&] {
-    return extract_doacross_shape(index, options.overheads);
+    return extract_doacross_shape(index, options.overheads, options.machine);
   };
   LiberalOptions replay;
   replay.machine = options.machine;

@@ -6,6 +6,18 @@
 
 namespace perturb::experiments {
 
+Setup setup_from_cli(const support::Cli& cli) {
+  Setup setup;
+  setup.machine.num_procs = static_cast<std::uint32_t>(
+      cli.get_int("procs", setup.machine.num_procs));
+  setup.stmt.mean = cli.get_double("stmt-probe", setup.stmt.mean);
+  setup.sync.mean = cli.get_double("sync-probe", setup.sync.mean);
+  setup.control.mean = cli.get_double("control-probe", setup.control.mean);
+  setup.seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<std::int64_t>(setup.seed)));
+  return setup;
+}
+
 instr::InstrumentationPlan make_plan(PlanKind kind, const Setup& setup) {
   switch (kind) {
     case PlanKind::kStatementsOnly:

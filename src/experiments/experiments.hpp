@@ -24,6 +24,7 @@
 #include "instr/plan.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
+#include "support/cli.hpp"
 
 namespace perturb::experiments {
 
@@ -37,6 +38,10 @@ struct Setup {
   instr::ProbeCost control{60.0, 0.05};
   std::uint64_t seed = 1991;
 };
+
+/// The default Setup with the bench drivers' overrides applied: --procs,
+/// --stmt-probe, --sync-probe, --control-probe and --seed.
+Setup setup_from_cli(const support::Cli& cli);
 
 enum class PlanKind : std::uint8_t {
   kStatementsOnly,  ///< §3 instrumentation (Table 1, Figure 1)

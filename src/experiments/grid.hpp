@@ -39,6 +39,8 @@ const char* exec_mode_name(ExecMode mode) noexcept;
 
 /// One cell of an experiment grid.  Every field is data (no hidden state),
 /// so a scenario can be hashed, compared, and dispatched to any worker.
+/// Every field has a default, so a cell is written with designated
+/// initializers naming only what it varies.
 struct Scenario {
   int loop = 3;
   std::int64_t n = 1001;
@@ -49,17 +51,17 @@ struct Scenario {
   core::RepairMode repair = core::RepairMode::kOff;
   /// When set, the measured trace is loaded from this file (through the
   /// worker's I/O arena) instead of simulated — the degraded-capture path.
-  std::string measured_path;
+  std::string measured_path{};
   /// Optional fault injection applied to the measured trace before
   /// acquisition.  Must be a pure function of the trace for the grid's
   /// determinism guarantee to hold.
-  std::function<void(trace::Trace&)> mutate_measured;
+  std::function<void(trace::Trace&)> mutate_measured{};
   /// When set, the cell runs a synthesized workload instead of a Livermore
   /// kernel: loop/n/mode/schedule are ignored (the spec carries its own trip
   /// and schedule), the actual-run memo key incorporates the full workload
   /// descriptor, and interference specs wrap the measured run's plan in a
   /// workload::InterferenceHook.
-  std::optional<workload::WorkloadSpec> workload;
+  std::optional<workload::WorkloadSpec> workload{};
 };
 
 /// Canonical run name, e.g. "lfk17-con"; matches the serial

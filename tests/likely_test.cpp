@@ -21,7 +21,7 @@ Fixture make_fixture(int loop = 17, std::int64_t n = 200) {
   const auto plan = experiments::make_plan(experiments::PlanKind::kFull, setup);
   const auto ov = experiments::overheads_for(plan, setup.machine);
   Fixture f;
-  f.shape = extract_doacross_shape(run.measured, ov);
+  f.shape = extract_doacross_shape(run.measured, ov, setup.machine);
   f.machine = setup.machine;
   for (const auto& e : run.actual) {
     if (e.kind == trace::EventKind::kLoopBegin) f.actual_loop_time = -e.time;

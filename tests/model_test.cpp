@@ -325,7 +325,8 @@ TEST(AnalyticAnalyzer, BitIdenticalToLiberalLoopTime) {
   for (const int k : {3, 4, 17}) {
     const auto program = loops::make_concurrent_ir(k, 300, Schedule::kCyclic);
     const auto measured = sim::simulate(setup.machine, program, plan, "m");
-    const auto shape = core::extract_doacross_shape(measured, overheads);
+    const auto shape =
+        core::extract_doacross_shape(measured, overheads, setup.machine);
     for (const Schedule sched :
          {Schedule::kCyclic, Schedule::kBlock, Schedule::kSelf}) {
       core::LiberalOptions options;

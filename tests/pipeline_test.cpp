@@ -108,7 +108,8 @@ TEST_P(PipelineEquivalence, MatchesDirectAnalyses) {
             eb.waits_introduced);
 
   // Liberal: identical replayed trace.
-  const DoacrossShape shape = extract_doacross_shape(f.measured, f.ov);
+  const DoacrossShape shape =
+      extract_doacross_shape(f.measured, f.ov, f.machine);
   LiberalOptions lib;
   lib.machine = f.machine;
   const LiberalResult direct = liberal_approximation(shape, lib);
@@ -145,7 +146,8 @@ TEST(Pipeline, ThreadCountDoesNotChangeResults) {
 
 TEST(Pipeline, LikelyExecutionsBitIdenticalAt1And2And8Threads) {
   const Fixture f = make_fixture(17);
-  const DoacrossShape shape = extract_doacross_shape(f.measured, f.ov);
+  const DoacrossShape shape =
+      extract_doacross_shape(f.measured, f.ov, f.machine);
   std::vector<std::vector<trace::Tick>> samples;
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {

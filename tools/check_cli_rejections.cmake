@@ -13,7 +13,8 @@
 #   * negative probe costs used to flow into the overhead model as credits.
 #
 # Invoked by ctest with -DANALYZE=<perturb-analyze>
-# -DEXPERIMENT=<perturb-experiment> -DTRACE_FILE=<any valid .ptt>.
+# -DEXPERIMENT=<perturb-experiment> -DARTIFACTS=<paper_artifacts>
+# -DTRACE_FILE=<any valid .ptt>.
 
 function(expect_usage_error)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE code
@@ -66,3 +67,12 @@ expect_usage_error("${EXPERIMENT}" --workload=zipf:7)
 expect_usage_error("${EXPERIMENT}" --workload=pareto:notaseed)
 expect_usage_error("${EXPERIMENT}" --workload=pareto:7:tailiness=2.0)
 expect_usage_error("${EXPERIMENT}" --workload=pareto:7:alpha=0.5)
+
+# The paper-artifacts driver: an unknown artifact name or option is a usage
+# error (exit 1), never a run of some default artifact; exit 2 is reserved
+# for a failed shape claim.
+expect_usage_error("${ARTIFACTS}" fig9)
+expect_usage_error("${ARTIFACTS}")
+expect_usage_error("${ARTIFACTS}" table1 --threads 4)
+expect_usage_error("${ARTIFACTS}" table1 --n 0)
+expect_usage_error("${ARTIFACTS}" all --csv=one.csv)
